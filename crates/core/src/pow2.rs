@@ -7,7 +7,7 @@
 //! result lies in `(0, 1]`, fitting the unsigned `Q(1,15)` unnormed format.
 
 use serde::{Deserialize, Serialize};
-use softermax_fixed::{vecops, Fixed, QFormat, Rounding};
+use softermax_fixed::{Fixed, QFormat, Rounding};
 
 use crate::lpw::{pow2_table, LpwPlan, QuantizedLpwTable};
 
@@ -68,62 +68,14 @@ impl Pow2Unit {
     /// where `x = value - running_max ≤ 0`).
     #[must_use]
     pub fn eval(&self, x: Fixed) -> Fixed {
-        // One-value delegation to the batch lane evaluator: scalar and
-        // slice paths cannot diverge by construction.
+        // One-value delegation to the lane evaluator whose fast twin the
+        // fused pipeline runs: scalar and lane paths cannot diverge.
         let plan = self.table.plan(x.format());
         let raw = self.eval_one_raw(&plan, x.raw(), x.format().frac_bits());
         Fixed::from_raw_saturating(raw, self.out_format)
     }
 
-    /// Batch [`Pow2Unit::eval`] over raw encodings in `in_format`, writing
-    /// result encodings (in [`Pow2Unit::out_format`]) into `out`, which is
-    /// cleared first and reused — allocation-free once its capacity covers
-    /// the slice.
-    ///
-    /// The segment-table setup (select shift, masks, saturation bounds) is
-    /// hoisted out of the inner loop via [`QuantizedLpwTable::plan`]; lanes
-    /// are processed in [`vecops::LANES`]-wide chunks with a scalar tail.
-    /// Bit-exact with [`Pow2Unit::eval`] per element.
-    pub fn eval_raw_slice(&self, raws: &[i64], in_format: QFormat, out: &mut Vec<i64>) {
-        out.clear();
-        out.reserve(raws.len());
-        let plan = self.table.plan(in_format);
-        let in_frac = in_format.frac_bits();
-        let mut chunks = raws.chunks_exact(vecops::LANES);
-        for chunk in chunks.by_ref() {
-            let lanes: [i64; vecops::LANES] =
-                std::array::from_fn(|i| self.eval_one_raw(&plan, chunk[i], in_frac));
-            out.extend_from_slice(&lanes);
-        }
-        for &raw in chunks.remainder() {
-            out.push(self.eval_one_raw(&plan, raw, in_frac));
-        }
-    }
-
-    /// Batch [`Pow2Unit::eval`] over same-format values, writing into `out`
-    /// (cleared first). See [`Pow2Unit::eval_raw_slice`] for the hoisting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inputs do not all share one format (the hoisted plan
-    /// is per-format; mixed-format slices have no hardware analogue).
-    pub fn eval_slice(&self, xs: &[Fixed], out: &mut Vec<Fixed>) {
-        out.clear();
-        out.reserve(xs.len());
-        let Some(first) = xs.first() else { return };
-        let in_format = first.format();
-        assert!(
-            xs.iter().all(|x| x.format() == in_format),
-            "eval_slice requires a uniform input format"
-        );
-        let plan = self.table.plan(in_format);
-        let in_frac = in_format.frac_bits();
-        out.extend(xs.iter().map(|x| {
-            Fixed::from_raw_saturating(self.eval_one_raw(&plan, x.raw(), in_frac), self.out_format)
-        }));
-    }
-
-    /// One lane of the batch evaluator: LPW lookup plus the integer-part
+    /// One lane of the evaluator: LPW lookup plus the integer-part
     /// shifter, mirroring [`Pow2Unit::eval`] exactly.
     #[inline]
     fn eval_one_raw(&self, plan: &LpwPlan<'_>, raw: i64, in_frac: u32) -> i64 {
@@ -266,38 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_slice_matches_scalar_eval() {
-        for unit in [
-            Pow2Unit::paper(),
-            Pow2Unit::new(16, QFormat::unsigned(2, 14)),
-        ] {
-            for fmt in [
-                formats::INPUT,
-                QFormat::signed(6, 10),
-                QFormat::signed(4, 0),
-            ] {
-                // 19 elements: two full chunks plus a tail.
-                let xs: Vec<Fixed> = (0..19)
-                    .map(|i| Fixed::from_raw_saturating(fmt.min_raw() + i * 7, fmt))
-                    .collect();
-                let mut out = Vec::new();
-                unit.eval_slice(&xs, &mut out);
-                assert_eq!(out.len(), xs.len());
-                for (x, y) in xs.iter().zip(&out) {
-                    assert_eq!(y.raw(), unit.eval(*x).raw(), "fmt={fmt} x={x}");
-                    assert_eq!(y.format(), unit.out_format());
-                }
-
-                let raws: Vec<i64> = xs.iter().map(Fixed::raw).collect();
-                let mut raw_out = Vec::new();
-                unit.eval_raw_slice(&raws, fmt, &mut raw_out);
-                let want: Vec<i64> = out.iter().map(Fixed::raw).collect();
-                assert_eq!(raw_out, want);
-            }
-        }
-    }
-
-    #[test]
     fn eval_one_raw_fast_matches_reference() {
         for unit in [
             Pow2Unit::paper(),
@@ -322,17 +242,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "uniform input format")]
-    fn eval_slice_rejects_mixed_formats() {
-        let unit = Pow2Unit::paper();
-        let xs = [
-            Fixed::zero(formats::INPUT),
-            Fixed::zero(QFormat::signed(6, 10)),
-        ];
-        unit.eval_slice(&xs, &mut Vec::new());
     }
 
     #[test]

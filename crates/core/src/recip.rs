@@ -130,41 +130,6 @@ impl RecipUnit {
         })
     }
 
-    /// Batch [`apply_reciprocal`] over same-format numerators, writing into
-    /// `out` (cleared first and reused — allocation-free once its capacity
-    /// covers the slice).
-    ///
-    /// The Normalization Unit applies one reciprocal to a whole row of
-    /// numerators, so everything that depends only on the operand formats
-    /// and the reciprocal — the wide intermediate format, the exponent
-    /// shift direction, the output rounding shift — is hoisted out of the
-    /// per-element loop. Bit-exact with [`apply_reciprocal`] per element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the numerators do not all share one format.
-    pub fn apply_slice(
-        &self,
-        nums: &[Fixed],
-        r: Reciprocal,
-        out_format: QFormat,
-        out: &mut Vec<Fixed>,
-    ) {
-        out.clear();
-        out.reserve(nums.len());
-        let Some(first) = nums.first() else { return };
-        let num_format = first.format();
-        assert!(
-            nums.iter().all(|n| n.format() == num_format),
-            "apply_slice requires a uniform numerator format"
-        );
-        let plan = ApplyPlan::new(num_format, r, out_format);
-        out.extend(
-            nums.iter()
-                .map(|n| Fixed::from_raw_saturating(plan.apply_one(n.raw()), out_format)),
-        );
-    }
-
     /// Full division `num / den`, returned in `out_format`: reciprocal,
     /// integer multiply, exponent shift — the Normalization Unit datapath.
     ///
@@ -233,9 +198,9 @@ impl ApplyPlan {
 /// Multiplies `num` by a [`Reciprocal`]: integer multiply into a wide
 /// intermediate, exponent shift, then rounding into `out_format`.
 ///
-/// One-value delegation to [`ApplyPlan`], the hoisted state the batch
-/// path ([`RecipUnit::apply_slice`]) uses — scalar and slice application
-/// cannot diverge by construction. The plan keeps the full product
+/// One-value delegation to [`ApplyPlan`], the hoisted state the
+/// Normalization pass of the vectorized Softermax pipeline uses — scalar
+/// and row application cannot diverge by construction. The plan keeps the full product
 /// precision before the final narrowing: the hardware multiplier produces
 /// all partial-product bits and the shift happens on the wide value.
 #[must_use]
@@ -323,37 +288,6 @@ mod tests {
         let den = Fixed::one(formats::POW_SUM);
         let q = unit.divide(num, den, formats::OUTPUT).unwrap();
         assert_eq!(q.to_f64(), 0.625);
-    }
-
-    #[test]
-    fn apply_slice_matches_scalar_apply() {
-        let unit = RecipUnit::paper();
-        // Denominators spanning both exponent signs (sum < 1 and sum >= 1).
-        for den_f in [0.25, 1.0, 1.75, 3.0, 700.0] {
-            let den = Fixed::from_f64(den_f, formats::POW_SUM, Rounding::Nearest);
-            let r = unit.reciprocal(den).unwrap();
-            // 11 numerators: a full chunk plus a tail.
-            let nums: Vec<Fixed> = (0..11)
-                .map(|i| Fixed::from_raw_saturating(i * 6007, formats::UNNORMED))
-                .collect();
-            let mut out = Vec::new();
-            unit.apply_slice(&nums, r, formats::OUTPUT, &mut out);
-            assert_eq!(out.len(), nums.len());
-            for (n, got) in nums.iter().zip(&out) {
-                let want = apply_reciprocal(*n, r, formats::OUTPUT);
-                assert_eq!(got.raw(), want.raw(), "den={den_f} num={n}");
-                assert_eq!(got.format(), formats::OUTPUT);
-            }
-        }
-    }
-
-    #[test]
-    fn apply_slice_empty_is_empty() {
-        let unit = RecipUnit::paper();
-        let r = unit.reciprocal(Fixed::one(formats::POW_SUM)).unwrap();
-        let mut out = vec![Fixed::zero(formats::OUTPUT)];
-        unit.apply_slice(&[], r, formats::OUTPUT, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Bit-exactness contract of the vectorized hot path.
 //!
-//! The vectorized entry points — `Softermax::forward_into`,
-//! `Pow2Unit::eval_slice`/`eval_raw_slice`, `RecipUnit::apply_slice`, and
-//! every kernel's `SoftmaxKernel::forward_into` override — must produce
+//! The vectorized entry points — `Softermax::forward_into` with its batch
+//! and streaming twins, and every kernel's `SoftmaxKernel::forward_into`
+//! override — must produce
 //! **bit-identical** results to the scalar `Fixed` path, for every
 //! configuration: all Table-I formats in `softermax_fixed::formats`,
 //! ablation format sets, both max modes and bases, segment-count sweeps,
@@ -11,10 +11,8 @@
 
 use proptest::prelude::*;
 use softermax::kernel::{KernelRegistry, ScratchBuffers};
-use softermax::pow2::Pow2Unit;
-use softermax::recip::{apply_reciprocal, RecipUnit};
 use softermax::{Base, MaxMode, Softermax, SoftermaxConfig};
-use softermax_fixed::{formats, Fixed, QFormat};
+use softermax_fixed::QFormat;
 
 /// Attention-score rows, spilling past the Q(6,2) rails on both sides so
 /// input saturation is exercised, with lengths that straddle slice and
@@ -68,7 +66,7 @@ fn arb_config() -> impl Strategy<Value = SoftermaxConfig> {
         )
 }
 
-/// Unconstrained quantization formats for the fused-vs-staged parity
+/// Unconstrained quantization formats for the fused-vs-scalar parity
 /// check: any combination [`SoftermaxConfig::validate`] accepts, not just
 /// the curated ablation sets — the max format's integer bits are drawn as
 /// a delta on top of the input's so the range constraint holds by
@@ -155,68 +153,14 @@ proptest! {
         }
     }
 
-    /// Batch pow2 evaluation is bit-exact with the scalar unit across
-    /// segment counts and input formats (including zero-fraction inputs).
+    /// The fused SIMD pipeline (`forward_into`), the batched path and
+    /// chunked streaming are all bit-identical with the scalar spec
+    /// (`Softermax::forward`) under *randomly drawn* quantization formats
+    /// — the strongest form of the fusion contract: every fused pass must
+    /// chain the identical fixed-point primitives for any format
+    /// geometry, not just the curated sets above. Errors must agree too.
     #[test]
-    fn pow2_eval_slice_bit_exact(
-        raws in proptest::collection::vec(-40_000i64..40_000, 1..40),
-        segments in prop_oneof![Just(2usize), Just(4), Just(32)],
-        fmt in prop_oneof![
-            Just(formats::INPUT),
-            Just(QFormat::signed(6, 10)),
-            Just(QFormat::signed(5, 0)),
-        ],
-    ) {
-        let unit = Pow2Unit::new(segments, formats::UNNORMED);
-        let xs: Vec<Fixed> = raws
-            .iter()
-            .map(|&r| Fixed::from_raw_saturating(r, fmt))
-            .collect();
-        let mut out = Vec::new();
-        unit.eval_slice(&xs, &mut out);
-        prop_assert_eq!(out.len(), xs.len());
-        for (x, got) in xs.iter().zip(&out) {
-            prop_assert_eq!(got.raw(), unit.eval(*x).raw(), "x={}", x);
-        }
-        let raw_in: Vec<i64> = xs.iter().map(Fixed::raw).collect();
-        let mut raw_out = Vec::new();
-        unit.eval_raw_slice(&raw_in, fmt, &mut raw_out);
-        let want_raw: Vec<i64> = out.iter().map(Fixed::raw).collect();
-        prop_assert_eq!(raw_out, want_raw);
-    }
-
-    /// Batch reciprocal application is bit-exact with the scalar
-    /// Normalization-unit datapath.
-    #[test]
-    fn recip_apply_slice_bit_exact(
-        num_raws in proptest::collection::vec(0i64..70_000, 1..40),
-        den_raw in 1i64..60_000,
-        segments in prop_oneof![Just(4usize), Just(16)],
-    ) {
-        let unit = RecipUnit::new(segments, formats::RECIP);
-        let den = Fixed::from_raw_saturating(den_raw, formats::POW_SUM);
-        let r = unit.reciprocal(den).expect("positive denominator");
-        let nums: Vec<Fixed> = num_raws
-            .iter()
-            .map(|&x| Fixed::from_raw_saturating(x, formats::UNNORMED))
-            .collect();
-        let mut out = Vec::new();
-        unit.apply_slice(&nums, r, formats::OUTPUT, &mut out);
-        prop_assert_eq!(out.len(), nums.len());
-        for (n, got) in nums.iter().zip(&out) {
-            let want = apply_reciprocal(*n, r, formats::OUTPUT);
-            prop_assert_eq!(got.raw(), want.raw(), "num={}", n);
-        }
-    }
-
-    /// The fused SIMD pipeline (`forward_into`), the retained staged PR-2
-    /// pipeline (`forward_into_staged`), the batched path and chunked
-    /// streaming are all bit-identical under *randomly drawn* quantization
-    /// formats — the strongest form of the fusion contract: every
-    /// fused pass must chain the identical fixed-point primitives for any
-    /// format geometry, not just the curated sets above.
-    #[test]
-    fn fused_matches_staged_under_random_formats(
+    fn fused_matches_scalar_under_random_formats(
         row in arb_row(),
         cfg in arb_wild_config(),
         chunk in 1usize..16,
@@ -224,13 +168,11 @@ proptest! {
         let sm = Softermax::new(cfg);
         let mut scratch = ScratchBuffers::default();
         let mut fused = vec![0.0; row.len()];
-        let mut staged = vec![0.0; row.len()];
         let r_fused = sm.forward_into(&row, &mut fused, &mut scratch);
-        let r_staged = sm.forward_into_staged(&row, &mut staged, &mut scratch);
-        match (&r_fused, &r_staged) {
-            (Ok(()), Ok(())) => assert_bits_equal(&fused, &staged, "fused vs staged"),
+        match (&r_fused, sm.forward(&row)) {
+            (Ok(()), Ok(scalar)) => assert_bits_equal(&fused, &scalar, "fused vs scalar"),
             (Err(a), Err(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
-            (a, b) => prop_assert!(false, "fused {a:?} but staged {b:?}"),
+            (a, b) => prop_assert!(false, "fused {a:?} but scalar {b:?}"),
         }
         if r_fused.is_ok() {
             // Batched: two copies of the row must reproduce the row result.

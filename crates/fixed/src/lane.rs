@@ -246,7 +246,8 @@ pub fn hmax(a: Block) -> i64 {
 }
 
 /// Lane-wise `clamp(a - scalar, lo, hi)` with a saturating subtraction:
-/// one block of `vecops::sub_scalar_saturating`.
+/// [`Fixed::saturating_sub`](crate::Fixed::saturating_sub) on one block
+/// when `lo`/`hi` are the format's raw rails.
 #[inline(always)]
 #[must_use]
 pub fn sub_clamp(a: Block, scalar: i64, lo: i64, hi: i64) -> Block {

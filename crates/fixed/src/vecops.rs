@@ -6,10 +6,9 @@
 //! * **`Fixed`-level** conversions ([`quantize_slice`], [`dequantize_slice`],
 //!   [`requantize_slice`] and their allocation-free `_into` variants) for
 //!   callers that want format-carrying values;
-//! * **raw-lane** operations ([`quantize_raw_into`], [`requantize_raw_into`],
-//!   [`dequantize_raw`], [`max_reduce`], [`sub_scalar_saturating`],
-//!   [`shift_accumulate`]) on bare `i64` encodings that all share one
-//!   [`QFormat`], carried by the caller. This is the layout a SIMD datapath
+//! * **raw-lane** operations ([`fused_quantize_into`], [`dequantize_raw`],
+//!   [`max_reduce`], [`max_reduce_ceil`]) on bare `i64` encodings that all
+//!   share one [`QFormat`], carried by the caller. This is the layout a SIMD datapath
 //!   wants: a dense `&[i64]` of lanes plus one format descriptor, instead of
 //!   an array of `(raw, format)` structs.
 //!
@@ -127,7 +126,8 @@ pub fn res_recip(format: QFormat) -> f64 {
     f64::from(format.frac_bits()).exp2()
 }
 
-/// One lane of [`quantize_raw_into`]; bit-exact with [`Fixed::from_f64`].
+/// Quantizes one real into a raw `format` encoding (saturating);
+/// bit-exact with [`Fixed::from_f64`].
 /// `inv_res` must be [`res_recip`]`(format)` (hoisted by the caller).
 ///
 /// Public so fused downstream pipelines can chain the exact per-element
@@ -142,24 +142,6 @@ pub fn quantize_one_raw(value: f64, format: QFormat, rounding: Rounding, inv_res
         return format.min_raw();
     }
     format.saturate_raw(rounding.apply(value * inv_res))
-}
-
-/// Quantizes reals into raw `format` encodings (saturating), writing the
-/// lanes into `out` (cleared first). Bit-exact with [`Fixed::from_f64`]
-/// per element.
-pub fn quantize_raw_into(values: &[f64], format: QFormat, rounding: Rounding, out: &mut Vec<i64>) {
-    out.clear();
-    out.reserve(values.len());
-    let inv_res = res_recip(format);
-    let mut chunks = values.chunks_exact(LANES);
-    for chunk in chunks.by_ref() {
-        let lanes: [i64; LANES] =
-            std::array::from_fn(|i| quantize_one_raw(chunk[i], format, rounding, inv_res));
-        out.extend_from_slice(&lanes);
-    }
-    for &v in chunks.remainder() {
-        out.push(quantize_one_raw(v, format, rounding, inv_res));
-    }
 }
 
 lane_envelope! {
@@ -183,46 +165,6 @@ lane_envelope! {
         {
             *o = r as f64 * res;
         }
-    }
-}
-
-/// One lane of [`requantize_raw_into`]; bit-exact with [`Fixed::requantize`].
-///
-/// Public so fused downstream pipelines can chain the exact per-element
-/// operation without materializing intermediate lane buffers.
-#[inline(always)]
-#[must_use]
-pub fn requantize_one_raw(raw: i64, src_frac: u32, dst: QFormat, rounding: Rounding) -> i64 {
-    let dst_frac = dst.frac_bits();
-    let shifted = if dst_frac >= src_frac {
-        let wide = (raw as i128) << (dst_frac - src_frac);
-        clamp_i128(wide)
-    } else {
-        rounding.apply_shift(raw as i128, src_frac - dst_frac)
-    };
-    dst.saturate_raw(shifted)
-}
-
-/// Re-encodes raw `src`-format lanes into `dst`-format lanes, writing into
-/// `out` (cleared first). Bit-exact with [`Fixed::requantize`] per element.
-pub fn requantize_raw_into(
-    raws: &[i64],
-    src: QFormat,
-    dst: QFormat,
-    rounding: Rounding,
-    out: &mut Vec<i64>,
-) {
-    out.clear();
-    out.reserve(raws.len());
-    let src_frac = src.frac_bits();
-    let mut chunks = raws.chunks_exact(LANES);
-    for chunk in chunks.by_ref() {
-        let lanes: [i64; LANES] =
-            std::array::from_fn(|i| requantize_one_raw(chunk[i], src_frac, dst, rounding));
-        out.extend_from_slice(&lanes);
-    }
-    for &r in chunks.remainder() {
-        out.push(requantize_one_raw(r, src_frac, dst, rounding));
     }
 }
 
@@ -284,25 +226,6 @@ lane_envelope! {
     }
 }
 
-lane_envelope! {
-    /// Subtracts `scalar` from every lane with saturation into `format`,
-    /// writing into `out` (cleared first). Bit-exact with
-    /// [`Fixed::saturating_sub`] per element (all operands share `format`).
-    pub fn sub_scalar_saturating(raws: &[i64], scalar: i64, format: QFormat, out: &mut Vec<i64>) {
-        out.clear();
-        out.reserve(raws.len());
-        let (lo, hi) = (format.min_raw(), format.max_raw());
-        let mut chunks = raws.chunks_exact(LANES);
-        for chunk in chunks.by_ref() {
-            let lanes = lane::sub_clamp(lane::load(chunk), scalar, lo, hi);
-            out.extend_from_slice(&lanes);
-        }
-        for &r in chunks.remainder() {
-            out.push(format.saturate_raw(r.saturating_sub(scalar)));
-        }
-    }
-}
-
 /// One lane of [`fused_quantize_into`]: quantize → optional pre-scale
 /// multiply (round-to-nearest, saturating in `input`) → requantize into
 /// `dst`. Bit-exact with chaining [`Fixed::from_f64`],
@@ -323,8 +246,9 @@ pub fn fused_quantize_one(
         None => q,
         Some((mant, shift)) => input.saturate_raw(nearest_shift(q as i128 * mant as i128, shift)),
     };
-    // Same op as `requantize_one_raw`, routed through the shift-based
-    // fast rounding helpers (bit-identical; `Rounding::apply_shift_fast`).
+    // `Fixed::requantize` on the raw encoding, routed through the
+    // shift-based fast rounding helpers (bit-identical;
+    // `Rounding::apply_shift_fast`).
     let dst_frac = dst.frac_bits();
     let shifted = if dst_frac >= in_frac {
         clamp_i128((p as i128) << (dst_frac - in_frac))
@@ -342,9 +266,8 @@ lane_envelope! {
     /// `log2(e)` scaling), and requantize into `dst` format — one sweep,
     /// one output write per element, appended to `out` (cleared first).
     ///
-    /// Bit-exact per element with the three-pass staged equivalent
-    /// ([`quantize_raw_into`], the scalar pre-scale, then
-    /// [`requantize_raw_into`]).
+    /// Bit-exact per element with chaining [`Fixed::from_f64`],
+    /// [`Fixed::mul_into`] and [`Fixed::requantize`].
     pub fn fused_quantize_into(
         values: &[f64],
         input: QFormat,
@@ -372,27 +295,6 @@ lane_envelope! {
     }
 }
 
-/// Accumulates `shift_down`-truncated lanes into a running sum that
-/// saturates into `format` after every addition: the summation tree of the
-/// Unnormed Softmax unit. Starting from `init`, each lane contributes
-/// `raw >> shift_down` (floor semantics), exactly like
-/// `acc.saturating_add(x.requantize(wide, Rounding::Floor))` does in the
-/// scalar pipeline when the wide format is `shift_down` fraction bits
-/// narrower than the lane format.
-///
-/// The per-step saturation makes this an inherently sequential reduction
-/// (a plain loop, not a chunked one): reassociating it would change where
-/// saturation bites.
-#[must_use]
-pub fn shift_accumulate(raws: &[i64], shift_down: u32, format: QFormat, init: i64) -> i64 {
-    let mut acc = init;
-    for &r in raws {
-        let term = format.saturate_raw(Rounding::Floor.apply_shift(r as i128, shift_down));
-        acc = format.saturate_raw(acc.saturating_add(term));
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,7 +320,6 @@ mod tests {
         assert!(quantize_slice(&[], formats::INPUT, Rounding::Nearest).is_empty());
         assert!(dequantize_slice(&[]).is_empty());
         assert_eq!(max_reduce(&[]), None);
-        assert_eq!(shift_accumulate(&[], 2, formats::POW_SUM, 7), 7);
     }
 
     #[test]
@@ -439,7 +340,8 @@ mod tests {
         // 13 elements: one full LANES chunk plus a 5-element tail.
         let vals: Vec<f64> = (0..13).map(|i| f64::from(i) * 1.37 - 40.0).collect();
         let mut raws = Vec::new();
-        quantize_raw_into(&vals, formats::INPUT, Rounding::Nearest, &mut raws);
+        let input = formats::INPUT;
+        fused_quantize_into(&vals, input, Rounding::Nearest, None, input, &mut raws);
         for (v, r) in vals.iter().zip(&raws) {
             assert_eq!(
                 Fixed::from_f64(*v, formats::INPUT, Rounding::Nearest).raw(),
@@ -451,10 +353,12 @@ mod tests {
     #[test]
     fn raw_quantize_handles_non_finite() {
         let mut raws = Vec::new();
-        quantize_raw_into(
+        fused_quantize_into(
             &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY],
             formats::INPUT,
             Rounding::Nearest,
+            None,
+            formats::INPUT,
             &mut raws,
         );
         assert_eq!(
@@ -484,21 +388,8 @@ mod tests {
     #[test]
     fn sub_scalar_saturates_at_rails() {
         let fmt = formats::INPUT; // raw range [-128, 127]
-        let mut out = Vec::new();
-        sub_scalar_saturating(&[-120, 0, 120], 50, fmt, &mut out);
-        assert_eq!(out, vec![-128, -50, 70]);
-    }
-
-    #[test]
-    fn shift_accumulate_matches_scalar_sequence() {
-        let fmt = formats::POW_SUM;
-        let raws = vec![40_000i64, 65_535, 1, 0, 513];
-        let got = shift_accumulate(&raws, 9, fmt, 0);
-        let mut want = Fixed::zero(fmt);
-        for &r in &raws {
-            let term = Fixed::from_raw_saturating(Rounding::Floor.apply_shift(r as i128, 9), fmt);
-            want = want.saturating_add(term).unwrap();
-        }
-        assert_eq!(got, want.raw());
+        let block = [-120, 0, 120, -128, 127, 78, -79, 50];
+        let out = lane::sub_clamp(block, 50, fmt.min_raw(), fmt.max_raw());
+        assert_eq!(out, [-128, -50, 70, -128, 77, 28, -128, 0]);
     }
 }

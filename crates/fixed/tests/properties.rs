@@ -5,7 +5,7 @@
 //! generated values run well past every format's rails).
 
 use proptest::prelude::*;
-use softermax_fixed::{formats, vecops, Fixed, QFormat, Rounding};
+use softermax_fixed::{formats, lane, vecops, Fixed, QFormat, Rounding};
 
 fn arb_format() -> impl Strategy<Value = QFormat> {
     (1u32..=16, 0u32..=16, any::<bool>())
@@ -136,8 +136,10 @@ proptest! {
         prop_assert!(x.requantize(dst, r) <= y.requantize(dst, r));
     }
 
-    /// Vectorized quantization is bit-exact with `Fixed::from_f64`, for
-    /// every format/rounding and any length (full chunks + tails).
+    /// Vectorized quantization (the fused stage-0 sweep with no
+    /// pre-scale and no format change) is bit-exact with
+    /// `Fixed::from_f64`, for every format/rounding and any length (full
+    /// chunks + tails).
     #[test]
     fn vecops_quantize_matches_scalar(
         vals in proptest::collection::vec(-1e5f64..1e5, 1..40),
@@ -145,7 +147,7 @@ proptest! {
         r in arb_rounding(),
     ) {
         let mut raws = Vec::new();
-        vecops::quantize_raw_into(&vals, fmt, r, &mut raws);
+        vecops::fused_quantize_into(&vals, fmt, r, None, fmt, &mut raws);
         prop_assert_eq!(raws.len(), vals.len());
         for (v, raw) in vals.iter().zip(&raws) {
             prop_assert_eq!(*raw, Fixed::from_f64(*v, fmt, r).raw(), "v={}", v);
@@ -172,8 +174,10 @@ proptest! {
         }
     }
 
-    /// Vectorized requantization is bit-exact with `Fixed::requantize`,
-    /// including cross-signedness saturation.
+    /// The requantization stage of the fused stage-0 sweep is bit-exact
+    /// with `Fixed::requantize`, including cross-signedness saturation:
+    /// on-grid `src` values quantize exactly, so only the `src → dst`
+    /// step can differ.
     #[test]
     fn vecops_requantize_matches_scalar(
         raws in proptest::collection::vec(-40_000i64..40_000, 1..40),
@@ -182,8 +186,12 @@ proptest! {
         r in arb_rounding(),
     ) {
         let raws: Vec<i64> = raws.iter().map(|&x| src.saturate_raw(x)).collect();
+        let on_grid: Vec<f64> = raws
+            .iter()
+            .map(|&x| Fixed::from_raw_saturating(x, src).to_f64())
+            .collect();
         let mut out = Vec::new();
-        vecops::requantize_raw_into(&raws, src, dst, r, &mut out);
+        vecops::fused_quantize_into(&on_grid, src, r, None, dst, &mut out);
         prop_assert_eq!(out.len(), raws.len());
         for (&raw, &got) in raws.iter().zip(&out) {
             let want = Fixed::from_raw_saturating(raw, src).requantize(dst, r).raw();
@@ -206,18 +214,19 @@ proptest! {
         prop_assert_eq!(vecops::max_reduce(&raws), Some(want.raw()));
     }
 
-    /// sub_scalar_saturating equals per-element `Fixed::saturating_sub`.
+    /// The lane block's saturating scalar subtraction (the fused
+    /// pipeline's max subtraction) equals per-element
+    /// `Fixed::saturating_sub` at the format's rails.
     #[test]
     fn vecops_sub_scalar_matches_scalar(
-        raws in proptest::collection::vec(-200i64..200, 1..40),
+        raws in proptest::collection::vec(-200i64..200, lane::LANES..lane::LANES + 1),
         scalar in -200i64..200,
         fmt in arb_format(),
     ) {
-        let raws: Vec<i64> = raws.iter().map(|&x| fmt.saturate_raw(x)).collect();
+        let raws: lane::Block = std::array::from_fn(|i| fmt.saturate_raw(raws[i]));
         let scalar = fmt.saturate_raw(scalar);
         let s = Fixed::from_raw_saturating(scalar, fmt);
-        let mut out = Vec::new();
-        vecops::sub_scalar_saturating(&raws, scalar, fmt, &mut out);
+        let out = lane::sub_clamp(raws, scalar, fmt.min_raw(), fmt.max_raw());
         for (&raw, &got) in raws.iter().zip(&out) {
             let want = Fixed::from_raw_saturating(raw, fmt)
                 .saturating_sub(s)
@@ -225,25 +234,6 @@ proptest! {
                 .raw();
             prop_assert_eq!(got, want);
         }
-    }
-
-    /// shift_accumulate equals the scalar requantize-and-saturating-add
-    /// summation sequence of the slice pipeline.
-    #[test]
-    fn vecops_shift_accumulate_matches_scalar(
-        raws in proptest::collection::vec(0i64..70_000, 1..40),
-        shift in 0u32..10,
-    ) {
-        let src = formats::UNNORMED;
-        let fmt = QFormat::unsigned(10, 15 - shift.min(15));
-        let raws: Vec<i64> = raws.iter().map(|&x| src.saturate_raw(x)).collect();
-        let got = vecops::shift_accumulate(&raws, shift, fmt, 0);
-        let mut want = Fixed::zero(fmt);
-        for &r in &raws {
-            let term = Fixed::from_raw_saturating(r, src).requantize(fmt, Rounding::Floor);
-            want = want.saturating_add(term).unwrap();
-        }
-        prop_assert_eq!(got, want.raw());
     }
 }
 
@@ -278,7 +268,7 @@ proptest! {
     }
 
     /// The fused ceil-max reduction equals mapping `Fixed::ceil` then
-    /// folding `max` (the staged IntMax pipeline).
+    /// folding `max` (the scalar IntMax unit).
     #[test]
     fn vecops_max_reduce_ceil_matches_staged(
         raws in proptest::collection::vec(-200_000i64..200_000, 0..40),
@@ -293,7 +283,7 @@ proptest! {
     }
 
     /// The fused stage-0 pass (quantize → pre-scale → requantize in one
-    /// sweep) is bit-identical with the staged three-pass pipeline.
+    /// sweep) is bit-identical with the scalar `Fixed` chain.
     #[test]
     fn vecops_fused_quantize_matches_staged(
         values in proptest::collection::vec(-1e3f64..1e3, 0..40),
@@ -308,16 +298,21 @@ proptest! {
         let mut fused = Vec::new();
         vecops::fused_quantize_into(&values, input, r, prescale, dst, &mut fused);
 
-        let mut staged = Vec::new();
-        vecops::quantize_raw_into(&values, input, r, &mut staged);
-        if let Some((mant, shift)) = prescale {
-            for lane in &mut staged {
-                let prod = *lane as i128 * mant as i128;
-                *lane = input.saturate_raw(Rounding::Nearest.apply_shift(prod, shift));
-            }
-        }
-        let mut want = Vec::new();
-        vecops::requantize_raw_into(&staged, input, dst, r, &mut want);
+        let want: Vec<i64> = values
+            .iter()
+            .map(|&v| {
+                let q = Fixed::from_f64(v, input, r);
+                let p = match prescale {
+                    None => q,
+                    Some((mant, shift)) => {
+                        let prod = q.raw() as i128 * mant as i128;
+                        let raw = input.saturate_raw(Rounding::Nearest.apply_shift(prod, shift));
+                        Fixed::from_raw_saturating(raw, input)
+                    }
+                };
+                p.requantize(dst, r).raw()
+            })
+            .collect();
         prop_assert_eq!(fused, want);
     }
 }

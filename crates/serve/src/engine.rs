@@ -287,9 +287,7 @@ impl BatchEngine {
         rows: &[f64],
         row_len: usize,
     ) -> Result<Vec<f64>> {
-        let mut out = vec![0.0; rows.len()];
-        self.forward_matrix_into(kernel, rows, row_len, &mut out)?;
-        Ok(out)
+        self.serve_blocking(kernel, rows.to_vec(), row_len, None)
     }
 
     /// Row-wise softmax of a flattened row-major matrix into a
@@ -299,7 +297,8 @@ impl BatchEngine {
     /// first failing row). An empty matrix is a valid no-op. Takes one
     /// admission slot like any other request: when the engine is at
     /// [`ServeConfig::queue_depth`], the call blocks until a slot frees
-    /// (at most [`ServeConfig::admission_timeout`]).
+    /// (at most [`ServeConfig::admission_timeout`]). The job owns a copy
+    /// of `rows`, and the result is copied into `out` on success.
     ///
     /// # Errors
     ///
@@ -321,7 +320,9 @@ impl BatchEngine {
         row_len: usize,
         out: &mut [f64],
     ) -> Result<()> {
-        self.dispatch(kernel, rows, row_len, out, None)
+        check_batch_geometry(rows.len(), row_len, out.len())?;
+        out.copy_from_slice(&self.forward_matrix(kernel, rows, row_len)?);
+        Ok(())
     }
 
     /// Row-wise softmax of a flattened row-major matrix through the
@@ -337,9 +338,7 @@ impl BatchEngine {
         row_len: usize,
         chunk: usize,
     ) -> Result<Vec<f64>> {
-        let mut out = vec![0.0; rows.len()];
-        self.forward_matrix_streamed_into(kernel, rows, row_len, chunk, &mut out)?;
-        Ok(out)
+        self.serve_blocking(kernel, rows.to_vec(), row_len, Some(chunk))
     }
 
     /// Row-wise softmax of a flattened row-major matrix through the
@@ -372,50 +371,32 @@ impl BatchEngine {
                 "streaming chunk must be positive".to_string(),
             ));
         }
-        self.dispatch(kernel, rows, row_len, out, Some(chunk))
+        check_batch_geometry(rows.len(), row_len, out.len())?;
+        out.copy_from_slice(&self.forward_matrix_streamed(kernel, rows, row_len, chunk)?);
+        Ok(())
     }
 
-    fn dispatch(
+    /// The blocking APIs' common path: an owned-buffer job admitted with
+    /// a bounded wait for a slot, then waited on.
+    fn serve_blocking(
         &self,
         kernel: &Arc<dyn SoftmaxKernel>,
-        rows: &[f64],
+        rows: Vec<f64>,
         row_len: usize,
-        out: &mut [f64],
         stream_chunk: Option<usize>,
-    ) -> Result<()> {
-        let started = Instant::now();
-        let n_rows = check_batch_geometry(rows.len(), row_len, out.len())?;
-        if n_rows == 0 {
-            self.shared
-                .record(kernel.name(), Outcome::Success, 0, 0, 0, 0);
-            return Ok(());
-        }
-        let job = Arc::new(Job::borrowed(
-            Arc::clone(kernel),
+    ) -> Result<Vec<f64>> {
+        let until = Instant::now() + self.config.admission_timeout;
+        self.enqueue_owned(
+            kernel,
             rows,
-            out,
             row_len,
-            self.config.chunk_rows,
             stream_chunk,
-            started,
-        ));
-        match self.shared.reserve_blocking(
-            n_rows,
-            (n_rows * row_len) as u64,
-            started + self.config.admission_timeout,
             None,
-        ) {
-            Reserve::Reserved => {}
-            Reserve::TimedOut => return Err(SoftmaxError::QueueFull),
-            Reserve::Shutdown => return Err(SoftmaxError::EngineShutdown),
-            // No deadline was passed, so expiry cannot happen here.
-            Reserve::Expired => return Err(SoftmaxError::DeadlineExceeded),
-        }
-        self.shared.enqueue(Arc::clone(&job));
-        // The input/output borrows must outlive every worker access:
-        // block until the job completes, which happens only after the
-        // last chunk's worker is done touching the buffers.
-        job.wait_outcome()
+            Priority::Interactive,
+            AdmitMode::BlockUntil(until),
+        )
+        .map_err(EnqueueError::into_error)?
+        .wait()
     }
 
     /// Builds and enqueues an owned-buffer job, the common path behind
@@ -456,9 +437,14 @@ impl BatchEngine {
             // Nothing to schedule: a pre-completed ticket, still counted.
             self.shared
                 .record(kernel.name(), Outcome::Success, 0, 0, 0, 0);
-            return Ok(Ticket::new(Arc::new(Job::completed(
+            return Ok(Ticket::new(Arc::new(Job::new(
                 Arc::clone(kernel),
+                rows,
                 row_len,
+                self.config.chunk_rows,
+                None,
+                None,
+                priority,
                 started,
             ))));
         }
@@ -487,7 +473,7 @@ impl BatchEngine {
                 }
             }
         }
-        let job = Arc::new(Job::owned(
+        let job = Arc::new(Job::new(
             Arc::clone(kernel),
             rows,
             row_len,
@@ -978,29 +964,26 @@ impl Shared {
     }
 }
 
-/// One admitted matrix: the kernel, the input/output buffer views, the
-/// chunk list and the completion/error protocol.
+/// One admitted matrix: the kernel, the owned input and output buffers,
+/// the chunk list and the completion/error protocol.
 ///
-/// The raw pointers make `Job` `Send`/`Sync` by hand; the safety argument
-/// is structural:
-///
-/// * chunks are disjoint row ranges, so no two workers ever touch the
-///   same output element, and the input is only read;
-/// * for borrowed jobs, [`BatchEngine::forward_matrix_into`] keeps the
-///   underlying borrows alive and blocked until the job completes, which
-///   the finishing worker signals only *after* the last buffer access;
-/// * for owned jobs, the buffers live inside the job itself (`owned`),
-///   are never reallocated while workers run (the output is only taken
-///   by the ticket after completion), and drop with the last `Arc`.
+/// The job owns everything its workers touch, so it is `Send + Sync`
+/// by construction. Workers read the input through `&Job`, and each chunk
+/// writes its own output slab through that slab's mutex. Only the one
+/// worker serving a chunk locks its slab, and the ticket takes the slabs
+/// only after the job completed.
 pub(crate) struct Job {
     kernel: Arc<dyn SoftmaxKernel>,
-    rows: *const f64,
-    out: *mut f64,
+    /// The flattened row-major input matrix; only ever read.
+    input: Vec<f64>,
     row_len: usize,
     n_rows: usize,
+    chunk_rows: usize,
     n_chunks: usize,
     /// Chunks not yet taken, served front-to-back by any worker.
     chunks: Mutex<VecDeque<Chunk>>,
+    /// One output slab per chunk, indexed by chunk number.
+    slabs: Vec<Mutex<Vec<f64>>>,
     /// `Some(scores_per_push)` routes the job through the
     /// chunked-streaming path instead of the batch path.
     stream_chunk: Option<usize>,
@@ -1022,17 +1005,6 @@ pub(crate) struct Job {
     /// Submission time: end-to-end latency is measured from here to the
     /// last chunk's completion.
     started: Instant,
-    /// Present on ticketed submissions: the job owns its buffers.
-    owned: Option<OwnedBuffers>,
-}
-
-struct OwnedBuffers {
-    /// Keeps the input alive for the raw `rows` pointer; never touched
-    /// again after construction.
-    _input: Vec<f64>,
-    /// The output the ticket collects; workers write through the raw
-    /// `out` pointer, the mutex only coordinates the final take.
-    output: Mutex<Vec<f64>>,
 }
 
 struct JobState {
@@ -1042,12 +1014,6 @@ struct JobState {
     /// First per-row error observed (sticky).
     error: Option<SoftmaxError>,
 }
-
-// SAFETY: see the struct documentation — disjoint chunk writes, read-only
-// input, and buffer lifetimes pinned by either the blocked dispatcher
-// (borrowed jobs) or the job itself (owned jobs).
-unsafe impl Send for Job {}
-unsafe impl Sync for Job {}
 
 fn chunk_list(n_rows: usize, chunk_rows: usize) -> VecDeque<Chunk> {
     let mut chunks = VecDeque::with_capacity(n_rows.div_ceil(chunk_rows));
@@ -1067,37 +1033,10 @@ impl Job {
         (self.n_rows * self.row_len) as u64
     }
 
-    /// A job over caller-borrowed buffers; the dispatcher must block
-    /// until completion before the borrows end.
-    fn borrowed(
-        kernel: Arc<dyn SoftmaxKernel>,
-        rows: &[f64],
-        out: &mut [f64],
-        row_len: usize,
-        chunk_rows: usize,
-        stream_chunk: Option<usize>,
-        started: Instant,
-    ) -> Self {
-        let n_rows = rows.len() / row_len;
-        Self::assemble(
-            kernel,
-            rows.as_ptr(),
-            out.as_mut_ptr(),
-            row_len,
-            n_rows,
-            chunk_list(n_rows, chunk_rows),
-            stream_chunk,
-            None,
-            Priority::Interactive,
-            started,
-            None,
-        )
-    }
-
-    /// A job owning its buffers: the submission path, where many jobs
-    /// from many callers are safely in flight at once.
+    /// A job over an owned input matrix whose geometry was already
+    /// validated. A zero-row job has no chunks and is complete at birth.
     #[allow(clippy::too_many_arguments)]
-    fn owned(
+    fn new(
         kernel: Arc<dyn SoftmaxKernel>,
         input: Vec<f64>,
         row_len: usize,
@@ -1107,73 +1046,22 @@ impl Job {
         priority: Priority,
         started: Instant,
     ) -> Self {
-        let n_rows = input.len() / row_len;
-        let mut output = vec![0.0; input.len()];
-        // Heap allocations are stable across the moves below, so the raw
-        // views stay valid for the job's whole life.
-        let rows_ptr = input.as_ptr();
-        let out_ptr = output.as_mut_ptr();
-        Self::assemble(
-            kernel,
-            rows_ptr,
-            out_ptr,
-            row_len,
-            n_rows,
-            chunk_list(n_rows, chunk_rows),
-            stream_chunk,
-            deadline,
-            priority,
-            started,
-            Some(OwnedBuffers {
-                _input: input,
-                output: Mutex::new(output),
-            }),
-        )
-    }
-
-    /// A zero-row submission: complete before it is ever queued.
-    fn completed(kernel: Arc<dyn SoftmaxKernel>, row_len: usize, started: Instant) -> Self {
-        Self::assemble(
-            kernel,
-            std::ptr::null(),
-            std::ptr::null_mut(),
-            row_len,
-            0,
-            VecDeque::new(),
-            None,
-            None,
-            Priority::Interactive,
-            started,
-            Some(OwnedBuffers {
-                _input: Vec::new(),
-                output: Mutex::new(Vec::new()),
-            }),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        kernel: Arc<dyn SoftmaxKernel>,
-        rows: *const f64,
-        out: *mut f64,
-        row_len: usize,
-        n_rows: usize,
-        chunks: VecDeque<Chunk>,
-        stream_chunk: Option<usize>,
-        deadline: Option<Instant>,
-        priority: Priority,
-        started: Instant,
-        owned: Option<OwnedBuffers>,
-    ) -> Self {
+        let n_rows = input.len().checked_div(row_len).unwrap_or(0);
+        let chunks = chunk_list(n_rows, chunk_rows);
         let n_chunks = chunks.len();
+        let slabs = chunks
+            .iter()
+            .map(|c| Mutex::new(vec![0.0; c.len() * row_len]))
+            .collect();
         Self {
             kernel,
-            rows,
-            out,
+            input,
             row_len,
             n_rows,
+            chunk_rows,
             n_chunks,
             chunks: Mutex::new(chunks),
+            slabs,
             stream_chunk,
             deadline,
             priority,
@@ -1187,8 +1075,18 @@ impl Job {
             busy_ns: AtomicU64::new(0),
             rows_done: AtomicU64::new(0),
             started,
-            owned,
         }
+    }
+
+    /// The input rows of `chunk`.
+    fn chunk_input(&self, chunk: &Chunk) -> &[f64] {
+        &self.input[chunk.start * self.row_len..chunk.end * self.row_len]
+    }
+
+    /// The output slab of `chunk`. Every chunk but the last is
+    /// `chunk_rows` long, so the slab index follows from the start row.
+    fn slab(&self, chunk: &Chunk) -> &Mutex<Vec<f64>> {
+        &self.slabs[chunk.start / self.chunk_rows]
     }
 
     /// Takes the job's next untaken chunk, if any.
@@ -1250,28 +1148,30 @@ impl Job {
         lock(&self.state).complete
     }
 
-    /// Takes the owned output buffer. Only meaningful on a completed
-    /// owned job (the ticket's contract).
+    /// Takes the output. Only meaningful on a completed job (the
+    /// ticket's contract). A one-chunk job hands its slab over as is;
+    /// only a job of several chunks concatenates them.
     pub(crate) fn take_output(&self) -> Vec<f64> {
-        let owned = self.owned.as_ref().expect("ticket jobs own their buffers");
-        std::mem::take(&mut *lock(&owned.output))
+        if let [slab] = self.slabs.as_slice() {
+            return std::mem::take(&mut *lock(slab));
+        }
+        let mut out = Vec::with_capacity(self.input.len());
+        for slab in &self.slabs {
+            out.append(&mut lock(slab));
+        }
+        out
     }
 
     /// Runs one chunk through the kernel's batch path. A kernel panic
     /// unwinds into the worker's supervisor, which fails the job,
     /// retires this chunk, and respawns the worker.
     fn run_chunk(&self, chunk: &Chunk, scratch: &mut BatchScratch) {
-        let elems = chunk.len() * self.row_len;
-        let offset = chunk.start * self.row_len;
-        // SAFETY: `chunk` is a row range validated against the matrix
-        // geometry, disjoint from every other chunk; the buffers outlive
-        // the job (see the struct documentation).
-        let rows = unsafe { std::slice::from_raw_parts(self.rows.add(offset), elems) };
-        let out = unsafe { std::slice::from_raw_parts_mut(self.out.add(offset), elems) };
-        match self
+        let rows = self.chunk_input(chunk);
+        let slab = self.slab(chunk);
+        let result = self
             .kernel
-            .forward_batch_into(rows, self.row_len, out, scratch)
-        {
+            .forward_batch_into(rows, self.row_len, &mut lock(slab), scratch);
+        match result {
             Ok(()) => {
                 self.rows_done
                     .fetch_add(chunk.len() as u64, Ordering::Relaxed);
@@ -1289,12 +1189,9 @@ impl Job {
         session: &mut dyn StreamSession,
         chunk_elems: usize,
     ) {
-        let elems = chunk.len() * self.row_len;
-        let offset = chunk.start * self.row_len;
-        // SAFETY: as in `run_chunk` — disjoint validated row ranges, and
-        // the buffers outlive the job.
-        let rows = unsafe { std::slice::from_raw_parts(self.rows.add(offset), elems) };
-        let out = unsafe { std::slice::from_raw_parts_mut(self.out.add(offset), elems) };
+        let rows = self.chunk_input(chunk);
+        let slab = self.slab(chunk);
+        let mut out = lock(slab);
         let mut completed = 0u64;
         for (row, out_row) in rows
             .chunks_exact(self.row_len)

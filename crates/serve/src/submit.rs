@@ -2,10 +2,11 @@
 //! admission with backpressure, and [`Ticket`]s that let many matrices
 //! from many callers be safely in flight on one engine at once.
 //!
-//! The blocking dispatch API ([`forward_matrix_into`]) borrows the
-//! caller's buffers and therefore must block until the batch completes.
-//! A [`Submission`] instead *owns* its score matrix: [`submit`] hands it
-//! to the engine and immediately returns a [`Ticket`], so a client can
+//! Every engine job owns its buffers. The blocking API
+//! ([`forward_matrix_into`]) copies the caller's rows into a job and
+//! waits on its ticket before it returns. A [`Submission`] hands its
+//! owned score matrix to the engine without a copy: [`submit`] returns a
+//! [`Ticket`] at once, so a client can
 //! keep several requests in flight (or several client threads can share
 //! one engine) and collect each result with [`Ticket::wait`] or poll it
 //! with [`Ticket::try_poll`]. Admission is bounded by

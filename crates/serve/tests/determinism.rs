@@ -151,12 +151,25 @@ fn empty_and_single_row_matrices_at_every_thread_count() {
 #[test]
 fn default_paper_chunk_geometry_is_also_deterministic() {
     // The proptest engines force tiny chunks; cross-check the default
-    // (32-row PE-derived) geometry on a matrix larger than one chunk.
+    // (32-row PE-derived) geometry on a matrix larger than one chunk:
+    // 100 rows are four chunks with a short last one, so the output is
+    // reassembled from several slabs on both engine paths.
     let engine = BatchEngine::with_threads(4).expect("valid config");
+    assert!(engine.config().work_stealing);
     let matrix = softermax_serve::traffic::synthetic_matrix(100, 48, 2.5, 9);
+    let mut out = vec![0.0; matrix.len()];
     for kernel in &KernelRegistry::with_builtins() {
-        let want = sequential(kernel.as_ref(), &matrix, 48);
+        let name = kernel.name();
+        let want = bits(&sequential(kernel.as_ref(), &matrix, 48));
         let got = engine.forward_matrix(kernel, &matrix, 48).expect("valid");
-        assert_eq!(bits(&got), bits(&want), "{}", kernel.name());
+        assert_eq!(bits(&got), want, "{name}");
+        engine
+            .forward_matrix_into(kernel, &matrix, 48, &mut out)
+            .expect("valid");
+        assert_eq!(bits(&out), want, "{name} into");
+        engine
+            .forward_matrix_streamed_into(kernel, &matrix, 48, 5, &mut out)
+            .expect("valid");
+        assert_eq!(bits(&out), want, "{name} streamed");
     }
 }

@@ -172,3 +172,21 @@ fn empty_rows_error_at_the_dispatch_boundary() {
         Err(SoftmaxError::InvalidConfig(_))
     ));
 }
+
+#[test]
+#[should_panic(expected = "output buffer length mismatch")]
+fn blocking_dispatch_panics_on_an_output_length_mismatch() {
+    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
+    let engine = BatchEngine::with_threads(2).expect("valid config");
+    let mut out = [0.0; 2];
+    let _ = engine.forward_matrix_into(&kernel, &[1.0, 2.0, 3.0], 3, &mut out);
+}
+
+#[test]
+#[should_panic(expected = "output buffer length mismatch")]
+fn streamed_blocking_dispatch_panics_on_an_output_length_mismatch() {
+    let kernel: Arc<dyn SoftmaxKernel> = Arc::new(NanRejectingKernel::new());
+    let engine = BatchEngine::with_threads(2).expect("valid config");
+    let mut out = [0.0; 4];
+    let _ = engine.forward_matrix_streamed_into(&kernel, &[1.0, 2.0, 3.0], 3, 2, &mut out);
+}
