@@ -27,8 +27,8 @@ fn bench_kernels(c: &mut Criterion) {
 
 fn bench_kernels_vectorized(c: &mut Criterion) {
     // The allocation-free forward_into path, per kernel; the dedicated
-    // scalar-vs-vectorized comparison (with JSON output) is the
-    // `throughput` harness binary.
+    // scalar-vs-fused comparison (with JSON output) is
+    // `throughput --roofline`.
     let mut group = c.benchmark_group("softmax_row_into");
     let registry = registry();
     for &len in &[64usize, 384, 2048] {

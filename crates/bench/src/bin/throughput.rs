@@ -1,40 +1,14 @@
-//! Softmax throughput harness: per-row vs vectorized vs batched/threaded
-//! vs tiled-streamed attention.
+//! Harness for what the repository benchmark (`perfbench/run.sh`) does
+//! not measure: machine ceilings, seeded fault injection and scheduling
+//! policy.
 //!
-//! Three modes, all sweeping every registered kernel at row lengths
-//! {64, 256, 1024, 4096}:
-//!
-//! * **row mode** (default) — scalar `SoftmaxKernel::forward` vs the
-//!   vectorized `forward_into` with a reused
-//!   [`ScratchBuffers`](softermax::kernel::ScratchBuffers); the PR-2
-//!   comparison, written to `BENCH_PR2.json`.
-//! * **batch mode** (`--batch`) — whole matrices through four paths:
-//!   **per-row** (a loop of scalar `forward` calls — the pre-PR-2
-//!   serving model and the speedup baseline), **row-into** (a loop of
-//!   allocation-free `forward_into` calls — the PR-2 serving model, so
-//!   the report separates what batching buys from what row
-//!   vectorization already bought), **batched** (one single-threaded
-//!   `forward_batch_into` call), and **threaded** (the
-//!   `softermax-serve` [`BatchEngine`] fanning chunks over a worker
-//!   pool); written to `BENCH_PR3.json`.
-//! * **stream mode** (`--stream`) — whole attention heads through two
-//!   paths: **materialized** (the full O(n²) score matrix staged through
-//!   `matmul_nt` → batched softmax → `P·V`) and **tiled-streamed**
-//!   (QK^T column tiles fed straight into one reused per-head
-//!   `StreamSession`, so no score/probability matrix ever exists and
-//!   per-head scratch is O(n + tile)); attention rows/s per kernel,
-//!   written to `BENCH_PR4.json`.
-//! * **concurrent mode** (`--concurrent`) — the same fixed pool of
-//!   small request matrices served at every client count × shard count
-//!   combination through the `ShardedRouter` submission API (M client
-//!   threads, blocking admission, one request in flight per client):
-//!   rows/s and p50/p95/p99 request latency per kernel, plus each
-//!   cell's speedup over the 1-client baseline at the same shard
-//!   count; written to `BENCH_PR5.json`.
+//! Kernel, serving, streaming-attention and remote throughput, with
+//! every output bit-checked, come from `perfbench/run.sh`. This binary
+//! keeps three modes, exactly one of which must be named:
 //!
 //! * **roofline mode** (`--roofline`) — per-kernel roofline analysis:
 //!   scalar `forward` vs the fused SIMD pipeline (`forward_into`, the
-//!   `fused` column). Before any
+//!   `fused` column) at row lengths {64, 256, 1024, 4096}. Before any
 //!   kernel is timed the harness measures the machine's ceilings — a
 //!   STREAM-style triad sweep for sustainable memory bandwidth, a
 //!   TSC-vs-monotonic-clock calibration so nanoseconds convert to cycles,
@@ -78,23 +52,6 @@
 //!   `--assert-priority` exits non-zero unless interactive p99 <
 //!   batch p99 — the CI sched-smoke gate. Written to `BENCH_PR8.json`.
 //!
-//! * **remote mode** (`--remote`) — the PR-9 network harness: loads a
-//!   `softermax-server` process over its wire protocol from this,
-//!   genuinely separate, process. With no `--endpoint` it spawns the
-//!   server binary itself (one process, TCP + Unix listeners) and
-//!   parses the `listening ...` lines; `--endpoint tcp:HOST:PORT` /
-//!   `--endpoint unix:PATH` (repeatable) drives an externally started
-//!   server instead — the CI net-smoke gate does that. Per transport it
-//!   runs a closed-loop latency phase (p50/p95/p99 *including* wire
-//!   time) and a pipelined mixed-traffic throughput phase
-//!   (batch/streamed/priority/deadline variants), bit-checks **every**
-//!   reply against sequential in-process ground truth (a mismatch
-//!   exits non-zero), and accounts wire bytes per frame. A local
-//!   in-process router runs the same workload for the local-vs-remote
-//!   rows/s comparison. `--shutdown-server` finishes by sending the
-//!   `Shutdown` frame and (for a spawned server) asserting a clean
-//!   drain and exit 0. Written to `BENCH_PR9.json`.
-//!
 //! Before anything is timed, each faster path's output is asserted
 //! **bit-identical** to the baseline path, so the CI smoke runs are real
 //! correctness gates even though timings are never asserted (they'd be
@@ -105,24 +62,19 @@
 //! flags) under a `"host"` key — see `softermax_bench::host_metadata`.
 //!
 //! ```text
-//! usage: throughput [--batch | --stream | --concurrent | --roofline | --chaos | --open-loop | --remote] [--threads N] [--smoke] [--out PATH]
-//!   --batch            compare per-row vs batched vs threaded serving paths
-//!   --stream           compare materialized vs tiled-streamed attention heads
-//!   --concurrent       sweep client count x shard count through the submission API
+//! usage: throughput (--roofline | --chaos | --open-loop) [--seed S] [--floor F] [--min-speedup X] [--assert-priority] [--smoke] [--out PATH]
 //!   --roofline         scalar vs fused per kernel, against measured ceilings
 //!   --chaos            deterministic fault injection: availability, goodput, recovery
 //!   --open-loop        open-loop saturation sweep, skew speedup, priority latency
-//!   --remote           load a softermax-server process over the wire protocol
-//!   --endpoint         tcp:HOST:PORT or unix:PATH of a running server (repeatable; remote mode)
-//!   --shutdown-server  finish by draining the server with a Shutdown frame (remote mode)
 //!   --seed             chaos fault-plan / arrival-schedule seed (default 42)
 //!   --floor            minimum fault-window availability; exit 1 below it (chaos mode)
 //!   --min-speedup      minimum skew-leg goodput speedup; exit 1 below it (open-loop)
 //!   --assert-priority  exit 1 unless interactive p99 < batch p99 (open-loop)
-//!   --threads          worker threads for the threaded path (default 4)
 //!   --smoke            short measurement budgets (CI smoke test)
-//!   --out              output JSON path (BENCH_PR2/../PR9.json by mode)
+//!   --out              output JSON path (BENCH_PR6/PR7/PR8.json by mode)
 //! ```
+//!
+//! A run naming no mode, an unknown flag, or two modes exits 2.
 
 // Unsafe is audited (docs/UNSAFE_INVENTORY.md); inside `unsafe fn`,
 // each unsafe operation still needs its own explicit block.
@@ -143,55 +95,9 @@ use softermax_serve::traffic::synthetic_matrix;
 use softermax_serve::{
     Admission, BatchEngine, Priority, RoutePolicy, ServeConfig, ShardedRouter, Submission,
 };
-use softermax_transformer::attention::{
-    attention_head_materialized, attention_head_streamed, head_scratch_estimates, KernelSoftmax,
-};
-use softermax_transformer::tensor::Matrix;
 
-/// Row lengths swept by the harness (the paper's sequence-length scale).
+/// Row lengths swept by roofline mode (the paper's sequence-length scale).
 const ROW_LENS: [usize; 4] = [64, 256, 1024, 4096];
-
-/// Element budget per benchmark matrix in batch mode: fixed so every row
-/// length serves the same amount of work (64 rows at length 1024). Long
-/// rows get extra rows on top so the threaded path always has at least
-/// one chunk per worker — otherwise "N threads" would silently measure a
-/// single busy worker.
-const BATCH_ELEMS: usize = 64 * 1024;
-
-/// Head dimension of the stream-mode attention benchmark: small enough
-/// that the QK^T cost does not drown the softmax paths being compared at
-/// row length 4096, large enough to be a real head.
-const STREAM_D_HEAD: usize = 16;
-
-/// Column-tile width of the streamed attention path in stream mode.
-const STREAM_TILE: usize = 64;
-
-/// Request shape of the concurrent-mode sweep: deliberately small (one
-/// scheduling chunk per request), so throughput is limited by how well
-/// the serving layer keeps the pool fed between requests — the
-/// request-level-concurrency effect under test — rather than by one big
-/// matrix saturating every worker on its own.
-const CONC_REQ_ROWS: usize = 4;
-const CONC_REQ_LEN: usize = 32;
-
-/// Client counts and shard counts swept in concurrent mode.
-const CONC_CLIENTS: [usize; 4] = [1, 2, 4, 8];
-const CONC_SHARDS: [usize; 2] = [1, 2];
-
-/// Closed-loop client think time, microseconds: each client idles this
-/// long between requests (the application work a real caller does
-/// around its softmax calls). A single closed-loop client therefore
-/// leaves the engine idle most of the time; the multi-client cells
-/// measure how much of that idle time request-level concurrency
-/// recovers by overlapping other clients' requests into it — until the
-/// engine saturates and the latency percentiles start absorbing the
-/// queueing instead. Think time is *excluded* from the reported request
-/// latencies (they span submit → response) but *included* in the wall
-/// clock, as in any closed-loop load generator.
-const CONC_THINK_US: u64 = 100;
-
-/// Admission bound per shard in concurrent mode.
-const CONC_INFLIGHT: usize = 32;
 
 /// Request shape of chaos mode: exactly one scheduling chunk per
 /// request (the config pins `chunk_rows` to this), so the single
@@ -214,6 +120,10 @@ const CHAOS_DELAY_US: u64 = 2_000;
 /// Shards in the chaos router: two, so breaker-open fail-over has
 /// somewhere to go.
 const CHAOS_SHARDS: usize = 2;
+
+/// Worker threads per chaos shard, and the admission bound per shard.
+const CHAOS_THREADS: usize = 4;
+const CHAOS_QUEUE_DEPTH: usize = 32;
 
 /// Consecutive in-budget responses that count as "recovered" when
 /// measuring recovery time after the fault window closes.
@@ -261,41 +171,41 @@ const OL_HUGE_EVERY: usize = 8;
 /// dstat-style sampling interval (shortened in smoke runs).
 const OL_INTERVAL_MS: u64 = 100;
 
+const USAGE: &str = "usage: throughput (--roofline | --chaos | --open-loop) [--seed S] [--floor F] [--min-speedup X] [--assert-priority] [--smoke] [--out PATH]";
+
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Roofline,
+    Chaos,
+    OpenLoop,
+}
+
 fn main() {
-    let mut batch_mode = false;
-    let mut stream_mode = false;
-    let mut concurrent_mode = false;
-    let mut roofline_mode = false;
-    let mut chaos_mode = false;
-    let mut open_loop_mode = false;
-    let mut remote_mode = false;
-    let mut endpoints: Vec<String> = Vec::new();
-    let mut shutdown_server = false;
+    let mut mode: Option<Mode> = None;
     let mut min_speedup: Option<f64> = None;
     let mut assert_priority = false;
     let mut smoke = false;
-    let mut threads = 4usize;
     let mut chaos_seed = 42u64;
     let mut floor: Option<f64> = None;
     let mut out_path: Option<String> = None;
     let (mut warmup_ms, mut measure_ms) = (30u64, 160u64);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--batch" => batch_mode = true,
-            "--stream" => stream_mode = true,
-            "--concurrent" => concurrent_mode = true,
-            "--roofline" => roofline_mode = true,
-            "--chaos" => chaos_mode = true,
-            "--open-loop" => open_loop_mode = true,
-            "--remote" => remote_mode = true,
-            "--endpoint" => {
-                endpoints.push(args.next().unwrap_or_else(|| {
-                    eprintln!("--endpoint needs a tcp:HOST:PORT or unix:PATH spec");
-                    std::process::exit(2);
-                }));
+        let picked = match arg.as_str() {
+            "--roofline" => Some(Mode::Roofline),
+            "--chaos" => Some(Mode::Chaos),
+            "--open-loop" => Some(Mode::OpenLoop),
+            _ => None,
+        };
+        if let Some(picked) = picked {
+            if mode.is_some_and(|m| m != picked) {
+                eprintln!("--roofline, --chaos and --open-loop are mutually exclusive\n{USAGE}");
+                std::process::exit(2);
             }
-            "--shutdown-server" => shutdown_server = true,
+            mode = Some(picked);
+            continue;
+        }
+        match arg.as_str() {
             "--min-speedup" => {
                 min_speedup = Some(
                     args.next()
@@ -325,16 +235,6 @@ fn main() {
                         }),
                 );
             }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t| t > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    });
-            }
             "--smoke" => {
                 smoke = true;
                 warmup_ms = 2;
@@ -347,181 +247,39 @@ fn main() {
                 }));
             }
             other => {
-                eprintln!(
-                    "unknown flag '{other}' (usage: throughput [--batch | --stream | --concurrent | --roofline | --chaos | --open-loop | --remote] [--endpoint SPEC] [--shutdown-server] [--threads N] [--seed S] [--floor F] [--min-speedup X] [--assert-priority] [--smoke] [--out PATH])"
-                );
+                eprintln!("unknown flag '{other}'\n{USAGE}");
                 std::process::exit(2);
             }
         }
     }
-    if usize::from(batch_mode)
-        + usize::from(stream_mode)
-        + usize::from(concurrent_mode)
-        + usize::from(roofline_mode)
-        + usize::from(chaos_mode)
-        + usize::from(open_loop_mode)
-        + usize::from(remote_mode)
-        > 1
-    {
-        eprintln!(
-            "--batch, --stream, --concurrent, --roofline, --chaos, --open-loop and --remote are mutually exclusive"
-        );
-        std::process::exit(2);
-    }
-    if (!endpoints.is_empty() || shutdown_server) && !remote_mode {
-        eprintln!("--endpoint/--shutdown-server only make sense with --remote");
-        std::process::exit(2);
-    }
-    let warmup = Duration::from_millis(warmup_ms);
-    let budget = Duration::from_millis(measure_ms);
 
-    if remote_mode {
-        remote_harness(
-            smoke,
-            &endpoints,
-            shutdown_server,
-            &out_path.unwrap_or_else(|| "BENCH_PR9.json".to_string()),
-        );
-    } else if open_loop_mode {
-        open_loop_harness(
+    match mode {
+        Some(Mode::OpenLoop) => open_loop_harness(
             smoke,
             chaos_seed,
             min_speedup,
             assert_priority,
             &out_path.unwrap_or_else(|| "BENCH_PR8.json".to_string()),
-        );
-    } else if chaos_mode {
-        chaos_harness(
-            threads,
+        ),
+        Some(Mode::Chaos) => chaos_harness(
             smoke,
             chaos_seed,
             floor,
             &out_path.unwrap_or_else(|| "BENCH_PR7.json".to_string()),
-        );
-    } else if roofline_mode {
-        roofline_harness(
-            warmup,
-            budget,
+        ),
+        Some(Mode::Roofline) => roofline_harness(
+            Duration::from_millis(warmup_ms),
+            Duration::from_millis(measure_ms),
             warmup_ms,
             measure_ms,
             smoke,
             &out_path.unwrap_or_else(|| "BENCH_PR6.json".to_string()),
-        );
-    } else if concurrent_mode {
-        concurrent_harness(
-            threads,
-            smoke,
-            &out_path.unwrap_or_else(|| "BENCH_PR5.json".to_string()),
-        );
-    } else if stream_mode {
-        stream_harness(
-            warmup,
-            budget,
-            warmup_ms,
-            measure_ms,
-            &out_path.unwrap_or_else(|| "BENCH_PR4.json".to_string()),
-        );
-    } else if batch_mode {
-        batch_harness(
-            threads,
-            warmup,
-            budget,
-            warmup_ms,
-            measure_ms,
-            &out_path.unwrap_or_else(|| "BENCH_PR3.json".to_string()),
-        );
-    } else {
-        row_harness(
-            warmup,
-            budget,
-            warmup_ms,
-            measure_ms,
-            &out_path.unwrap_or_else(|| "BENCH_PR2.json".to_string()),
-        );
-    }
-}
-
-/// The PR-2 comparison: scalar `forward` vs vectorized `forward_into`.
-fn row_harness(
-    warmup: Duration,
-    budget: Duration,
-    warmup_ms: u64,
-    measure_ms: u64,
-    out_path: &str,
-) {
-    println!("# Softmax row throughput: scalar `forward` vs vectorized `forward_into`\n");
-    print_header(&[
-        "kernel",
-        "len",
-        "scalar ns/row",
-        "vectorized ns/row",
-        "scalar Melem/s",
-        "vectorized Melem/s",
-        "speedup",
-    ]);
-
-    let registry = registry();
-    let mut entries: Vec<serde_json::Value> = Vec::new();
-    for kernel in &registry {
-        for &len in &ROW_LENS {
-            let row = attention_scores(len, 2.5, 42);
-            let mut scratch = ScratchBuffers::default();
-            let mut probs = vec![0.0f64; len];
-            // Guard before timing: the two paths must be bit-identical.
-            // This is what makes the CI smoke run a real check — a
-            // correctness regression in the vectorized path fails the job
-            // even though timings are never asserted (they'd be flaky).
-            let want = kernel.forward(&row).expect("non-empty row");
-            kernel
-                .forward_into(&row, &mut probs, &mut scratch)
-                .expect("non-empty row");
-            assert_eq!(
-                probs,
-                want,
-                "{} forward_into diverged from forward at len {len}",
-                kernel.name()
-            );
-            let scalar = measure(warmup, budget, || {
-                black_box(kernel.forward(black_box(&row)).expect("non-empty row"))
-            });
-            let vectorized = measure(warmup, budget, || {
-                kernel
-                    .forward_into(black_box(&row), black_box(&mut probs), &mut scratch)
-                    .expect("non-empty row");
-            });
-            let speedup = scalar.ns_per_iter / vectorized.ns_per_iter;
-            print_row(&[
-                kernel.name().to_string(),
-                len.to_string(),
-                format!("{:.0}", scalar.ns_per_iter),
-                format!("{:.0}", vectorized.ns_per_iter),
-                format!("{:.1}", scalar.elements_per_sec(len as u64) / 1e6),
-                format!("{:.1}", vectorized.elements_per_sec(len as u64) / 1e6),
-                softermax_bench::fmt_ratio(speedup),
-            ]);
-            entries.push(serde_json::json!({
-                "kernel": kernel.name(),
-                "row_len": len,
-                "scalar_ns_per_row": scalar.ns_per_iter,
-                "vectorized_ns_per_row": vectorized.ns_per_iter,
-                "scalar_melem_per_s": scalar.elements_per_sec(len as u64) / 1e6,
-                "vectorized_melem_per_s": vectorized.elements_per_sec(len as u64) / 1e6,
-                "speedup": speedup,
-                "scalar_iters": scalar.iters,
-                "vectorized_iters": vectorized.iters,
-            }));
+        ),
+        None => {
+            eprintln!("no mode given\n{USAGE}");
+            std::process::exit(2);
         }
     }
-
-    let report = serde_json::json!({
-        "benchmark": "softmax_row_throughput",
-        "description": "scalar SoftmaxKernel::forward vs vectorized forward_into (reused ScratchBuffers), ns per row",
-        "row_lens": ROW_LENS.to_vec(),
-        "warmup_ms": warmup_ms,
-        "measure_ms": measure_ms,
-        "results": serde_json::Value::Array(entries),
-    });
-    write_report(out_path, &report);
 }
 
 /// Elements per f64 array in the memory-bandwidth triad sweep: 4 Mi
@@ -801,427 +559,6 @@ fn fused_bytes_per_elem(kernel: &str) -> f64 {
     }
 }
 
-/// The PR-3 comparison: per-row serving vs single-threaded batch vs the
-/// multi-threaded `BatchEngine`.
-fn batch_harness(
-    threads: usize,
-    warmup: Duration,
-    budget: Duration,
-    warmup_ms: u64,
-    measure_ms: u64,
-    out_path: &str,
-) {
-    println!(
-        "# Softmax matrix throughput: per-row `forward` vs batched `forward_batch_into` vs \
-         `BatchEngine` at {threads} thread(s)\n"
-    );
-    print_header(&[
-        "kernel",
-        "len",
-        "rows",
-        "per-row Krows/s",
-        "row-into Krows/s",
-        "batched Krows/s",
-        "threaded Krows/s",
-        "batched speedup",
-        "threaded speedup",
-    ]);
-
-    let registry = registry();
-    let engine = BatchEngine::new(ServeConfig::new(threads)).expect("engine config");
-    let mut entries: Vec<serde_json::Value> = Vec::new();
-    for kernel in &registry {
-        for &len in &ROW_LENS {
-            let n_rows = (BATCH_ELEMS / len).max(threads * engine.config().chunk_rows);
-            let matrix = softermax_serve::traffic::synthetic_matrix(n_rows, len, 2.5, 42);
-            let mut scratch = BatchScratch::default();
-            let mut probs = vec![0.0f64; matrix.len()];
-
-            // Guard before timing: the batched and threaded paths must be
-            // bit-identical to per-row execution.
-            let mut want = vec![0.0f64; matrix.len()];
-            for (row, out_row) in matrix.chunks_exact(len).zip(want.chunks_exact_mut(len)) {
-                out_row.copy_from_slice(&kernel.forward(row).expect("non-empty row"));
-            }
-            kernel
-                .forward_batch_into(&matrix, len, &mut probs, &mut scratch)
-                .expect("valid matrix");
-            assert_eq!(
-                probs,
-                want,
-                "{} forward_batch_into diverged from per-row forward at len {len}",
-                kernel.name()
-            );
-            engine
-                .forward_matrix_into(kernel, &matrix, len, &mut probs)
-                .expect("valid matrix");
-            assert_eq!(
-                probs,
-                want,
-                "{} BatchEngine diverged from per-row forward at len {len}",
-                kernel.name()
-            );
-
-            let per_row = measure(warmup, budget, || {
-                for row in matrix.chunks_exact(len) {
-                    black_box(kernel.forward(black_box(row)).expect("non-empty row"));
-                }
-            });
-            // The PR-2 serving model — an allocation-free forward_into
-            // loop — measured alongside, so the report separates what
-            // batching/threading buys from what row vectorization already
-            // bought.
-            let row_into = measure(warmup, budget, || {
-                for (row, out_row) in matrix.chunks_exact(len).zip(probs.chunks_exact_mut(len)) {
-                    kernel
-                        .forward_into(black_box(row), black_box(out_row), &mut scratch.row)
-                        .expect("non-empty row");
-                }
-            });
-            let batched = measure(warmup, budget, || {
-                kernel
-                    .forward_batch_into(
-                        black_box(&matrix),
-                        len,
-                        black_box(&mut probs),
-                        &mut scratch,
-                    )
-                    .expect("valid matrix");
-            });
-            let threaded = measure(warmup, budget, || {
-                engine
-                    .forward_matrix_into(kernel, black_box(&matrix), len, black_box(&mut probs))
-                    .expect("valid matrix");
-            });
-
-            let rows_per_s = |ns_per_matrix: f64| n_rows as f64 / ns_per_matrix * 1e9;
-            let per_row_rows = rows_per_s(per_row.ns_per_iter);
-            let row_into_rows = rows_per_s(row_into.ns_per_iter);
-            let batched_rows = rows_per_s(batched.ns_per_iter);
-            let threaded_rows = rows_per_s(threaded.ns_per_iter);
-            let batched_speedup = per_row.ns_per_iter / batched.ns_per_iter;
-            let threaded_speedup = per_row.ns_per_iter / threaded.ns_per_iter;
-            print_row(&[
-                kernel.name().to_string(),
-                len.to_string(),
-                n_rows.to_string(),
-                format!("{:.1}", per_row_rows / 1e3),
-                format!("{:.1}", row_into_rows / 1e3),
-                format!("{:.1}", batched_rows / 1e3),
-                format!("{:.1}", threaded_rows / 1e3),
-                softermax_bench::fmt_ratio(batched_speedup),
-                softermax_bench::fmt_ratio(threaded_speedup),
-            ]);
-            entries.push(serde_json::json!({
-                "kernel": kernel.name(),
-                "row_len": len,
-                "rows": n_rows,
-                "threads": threads,
-                "per_row_ns_per_matrix": per_row.ns_per_iter,
-                "row_into_ns_per_matrix": row_into.ns_per_iter,
-                "batched_ns_per_matrix": batched.ns_per_iter,
-                "threaded_ns_per_matrix": threaded.ns_per_iter,
-                "per_row_rows_per_s": per_row_rows,
-                "row_into_rows_per_s": row_into_rows,
-                "batched_rows_per_s": batched_rows,
-                "threaded_rows_per_s": threaded_rows,
-                "batched_speedup_vs_per_row": batched_speedup,
-                "threaded_speedup_vs_per_row": threaded_speedup,
-                "batched_speedup_vs_row_into": row_into.ns_per_iter / batched.ns_per_iter,
-                "threaded_speedup_vs_row_into": row_into.ns_per_iter / threaded.ns_per_iter,
-                "bit_identical": true,
-            }));
-        }
-    }
-
-    let report = serde_json::json!({
-        "benchmark": "softmax_batch_throughput",
-        "description": "per-row SoftmaxKernel::forward loop vs single-threaded forward_batch_into vs multi-threaded softermax-serve BatchEngine, ns per matrix",
-        "row_lens": ROW_LENS.to_vec(),
-        "matrix_elems": BATCH_ELEMS,
-        "threads": threads,
-        "chunk_rows": engine.config().chunk_rows,
-        "vector_width": engine.config().vector_width,
-        "warmup_ms": warmup_ms,
-        "measure_ms": measure_ms,
-        "results": serde_json::Value::Array(entries),
-    });
-    write_report(out_path, &report);
-}
-
-/// The PR-4 comparison: materialized attention heads (full score matrix)
-/// vs tiled-streamed heads (`StreamSession`s fed straight off QK^T
-/// column tiles, no score matrix ever materialized).
-fn stream_harness(
-    warmup: Duration,
-    budget: Duration,
-    warmup_ms: u64,
-    measure_ms: u64,
-    out_path: &str,
-) {
-    println!(
-        "# Attention throughput: materialized score matrix vs tiled-streamed sessions \
-         (d_head {STREAM_D_HEAD}, tile {STREAM_TILE})\n"
-    );
-    print_header(&[
-        "kernel",
-        "seq",
-        "materialized Krows/s",
-        "streamed Krows/s",
-        "streamed/materialized",
-        "scratch elems (mat)",
-        "scratch elems (stream)",
-    ]);
-
-    let registry = registry();
-    let mut entries: Vec<serde_json::Value> = Vec::new();
-    for kernel in &registry {
-        let backend = KernelSoftmax::from_kernel(std::sync::Arc::clone(kernel));
-        for &seq in &ROW_LENS {
-            // Deterministic Q/K/V from the shared traffic sampler; the
-            // three seeds make the matrices independent.
-            let qkv: Vec<Matrix> = (0..3)
-                .map(|m| {
-                    let vals =
-                        softermax_serve::traffic::synthetic_matrix(seq, STREAM_D_HEAD, 1.0, 7 + m);
-                    Matrix::from_vec(seq, STREAM_D_HEAD, vals.iter().map(|&v| v as f32).collect())
-                })
-                .collect();
-            let (q, k, v) = (&qkv[0], &qkv[1], &qkv[2]);
-            let scale = 1.0 / (STREAM_D_HEAD as f32).sqrt();
-
-            // Guard before timing: the streamed head must be bit-identical
-            // to the materialized head for every tile-tail geometry.
-            let want = attention_head_materialized(&backend, q, k, v, scale);
-            let got = attention_head_streamed(kernel.as_ref(), q, k, v, scale, STREAM_TILE);
-            assert_eq!(
-                got,
-                want,
-                "{} streamed attention diverged from materialized at seq {seq}",
-                kernel.name()
-            );
-
-            let materialized = measure(warmup, budget, || {
-                black_box(attention_head_materialized(
-                    &backend,
-                    black_box(q),
-                    black_box(k),
-                    black_box(v),
-                    scale,
-                ))
-            });
-            let streamed = measure(warmup, budget, || {
-                black_box(attention_head_streamed(
-                    kernel.as_ref(),
-                    black_box(q),
-                    black_box(k),
-                    black_box(v),
-                    scale,
-                    STREAM_TILE,
-                ))
-            });
-
-            let rows_per_s = |ns_per_head: f64| seq as f64 / ns_per_head * 1e9;
-            let mat_rows = rows_per_s(materialized.ns_per_iter);
-            let stream_rows = rows_per_s(streamed.ns_per_iter);
-            let ratio = materialized.ns_per_iter / streamed.ns_per_iter;
-            let (mat_scratch, stream_scratch) =
-                head_scratch_estimates(kernel.descriptor(), seq, STREAM_TILE);
-            print_row(&[
-                kernel.name().to_string(),
-                seq.to_string(),
-                format!("{:.1}", mat_rows / 1e3),
-                format!("{:.1}", stream_rows / 1e3),
-                softermax_bench::fmt_ratio(ratio),
-                mat_scratch.to_string(),
-                stream_scratch.to_string(),
-            ]);
-            entries.push(serde_json::json!({
-                "kernel": kernel.name(),
-                "row_len": seq,
-                "d_head": STREAM_D_HEAD,
-                "tile": STREAM_TILE,
-                "materialized_ns_per_head": materialized.ns_per_iter,
-                "streamed_ns_per_head": streamed.ns_per_iter,
-                "materialized_rows_per_s": mat_rows,
-                "streamed_rows_per_s": stream_rows,
-                "streamed_speedup_vs_materialized": ratio,
-                "materialized_scratch_elems": mat_scratch,
-                "streamed_scratch_elems": stream_scratch,
-                "bit_identical": true,
-            }));
-        }
-    }
-
-    let report = serde_json::json!({
-        "benchmark": "attention_stream_throughput",
-        "description": "materialized attention heads (O(n^2) score matrix -> batched softmax -> P*V) vs tiled-streamed heads (QK^T column tiles into reused per-head StreamSessions, O(n + tile) scratch), ns per head",
-        "row_lens": ROW_LENS.to_vec(),
-        "d_head": STREAM_D_HEAD,
-        "tile": STREAM_TILE,
-        "warmup_ms": warmup_ms,
-        "measure_ms": measure_ms,
-        "results": serde_json::Value::Array(entries),
-    });
-    write_report(out_path, &report);
-}
-
-/// The PR-5 comparison: the same pool of small requests served at every
-/// client count × shard count through the `ShardedRouter` submission
-/// API. Every cell serves the **same total work** (the full request
-/// pool, striped over the clients; each client runs submit → wait
-/// serially, so "M clients" means M requests in flight), making rows/s
-/// directly comparable across cells; per-request latency percentiles
-/// come from the router's merged accounting.
-fn concurrent_harness(threads: usize, smoke: bool, out_path: &str) {
-    let total_requests = if smoke { 48 } else { 960 };
-    // Best-of-N walls: one preempted run must not masquerade as a
-    // serving-layer slowdown (timings are recorded, never asserted).
-    let attempts = if smoke { 1 } else { 5 };
-    println!(
-        "# Concurrent serving throughput: {total_requests} requests of \
-         {CONC_REQ_ROWS} rows x {CONC_REQ_LEN}, clients {CONC_CLIENTS:?} x shards \
-         {CONC_SHARDS:?}, {threads} thread(s)/shard, closed-loop think time \
-         {CONC_THINK_US} us\n"
-    );
-    print_header(&[
-        "kernel",
-        "clients",
-        "shards",
-        "rows/s",
-        "p50 us",
-        "p95 us",
-        "p99 us",
-        "vs 1 client",
-    ]);
-
-    let registry = registry();
-    let mut entries: Vec<serde_json::Value> = Vec::new();
-    for kernel in &registry {
-        // The shared request pool and its sequential ground truth.
-        let requests: Vec<Vec<f64>> = (0..total_requests)
-            .map(|r| {
-                softermax_serve::traffic::synthetic_matrix(
-                    CONC_REQ_ROWS,
-                    CONC_REQ_LEN,
-                    2.5,
-                    42 + r as u64,
-                )
-            })
-            .collect();
-        let wants: Vec<Vec<f64>> = requests
-            .iter()
-            .map(|matrix| {
-                let mut want = vec![0.0f64; matrix.len()];
-                let mut scratch = BatchScratch::default();
-                for (row, out_row) in matrix
-                    .chunks_exact(CONC_REQ_LEN)
-                    .zip(want.chunks_exact_mut(CONC_REQ_LEN))
-                {
-                    kernel
-                        .forward_into(row, out_row, &mut scratch.row)
-                        .expect("non-empty row");
-                }
-                want
-            })
-            .collect();
-
-        // Guard before timing: the full request pool once through a
-        // 2-client, 2-shard router, every response bit-compared to the
-        // sequential ground truth. This is what makes the CI smoke run a
-        // real correctness gate for the concurrent path.
-        {
-            let router = conc_router(2, threads);
-            let outputs = serve_pool(&router, kernel, &requests, 2);
-            for (r, (got, want)) in outputs.iter().zip(&wants).enumerate() {
-                assert_eq!(
-                    got,
-                    want,
-                    "{} concurrent request {r} diverged from sequential execution",
-                    kernel.name()
-                );
-            }
-        }
-
-        for &shards in &CONC_SHARDS {
-            let mut one_client_rows_per_s = None;
-            for &clients in &CONC_CLIENTS {
-                let router = conc_router(shards, threads);
-                let mut best_wall_s = f64::INFINITY;
-                let mut best_stats = None;
-                for _ in 0..attempts {
-                    // Stats are reset per attempt and the best attempt's
-                    // snapshot is kept, so the reported percentiles and
-                    // the best-of-N wall describe the same run — a
-                    // preempted attempt cannot leak its inflated request
-                    // walls into the latency columns.
-                    router.reset_stats();
-                    let t0 = std::time::Instant::now();
-                    let outputs = serve_pool(&router, kernel, &requests, clients);
-                    let wall_s = t0.elapsed().as_secs_f64().max(1e-12);
-                    assert_eq!(outputs.len(), total_requests);
-                    if wall_s < best_wall_s {
-                        best_wall_s = wall_s;
-                        best_stats = Some(router.stats());
-                    }
-                }
-                let rows_per_s = (total_requests * CONC_REQ_ROWS) as f64 / best_wall_s;
-                let speedup = rows_per_s / one_client_rows_per_s.unwrap_or(rows_per_s);
-                if clients == 1 {
-                    one_client_rows_per_s = Some(rows_per_s);
-                }
-                let stats = best_stats.expect("at least one attempt ran");
-                let s = stats.kernel(kernel.name()).expect("traffic recorded");
-                let [p50, p95, p99] = s.latency_percentiles_ns();
-                print_row(&[
-                    kernel.name().to_string(),
-                    clients.to_string(),
-                    shards.to_string(),
-                    format!("{rows_per_s:.0}"),
-                    format!("{:.1}", p50 as f64 / 1e3),
-                    format!("{:.1}", p95 as f64 / 1e3),
-                    format!("{:.1}", p99 as f64 / 1e3),
-                    softermax_bench::fmt_ratio(speedup),
-                ]);
-                entries.push(serde_json::json!({
-                    "kernel": kernel.name(),
-                    "clients": clients,
-                    "shards": shards,
-                    "threads_per_shard": threads,
-                    "inflight_per_shard": CONC_INFLIGHT,
-                    "requests": total_requests,
-                    "request_rows": CONC_REQ_ROWS,
-                    "request_len": CONC_REQ_LEN,
-                    "rows_per_s": rows_per_s,
-                    "p50_latency_us": p50 as f64 / 1e3,
-                    "p95_latency_us": p95 as f64 / 1e3,
-                    "p99_latency_us": p99 as f64 / 1e3,
-                    "mean_latency_us": s.mean_batch_latency_ns() / 1e3,
-                    "think_time_us": CONC_THINK_US,
-                    "speedup_vs_1_client": speedup,
-                    "bit_identical": true,
-                }));
-            }
-        }
-    }
-
-    let report = serde_json::json!({
-        "benchmark": "concurrent_serving_throughput",
-        "description": "the same request pool served at every client count x shard count through the ShardedRouter submission API (closed-loop clients: think, submit, wait; blocking admission; one request in flight per client); rows/s over identical total work (best wall of N attempts), p50/p95/p99 request latency (submit -> response, think time excluded) from the router's accounting",
-        "clients": CONC_CLIENTS.to_vec(),
-        "shards": CONC_SHARDS.to_vec(),
-        "threads_per_shard": threads,
-        "inflight_per_shard": CONC_INFLIGHT,
-        "requests": total_requests,
-        "request_rows": CONC_REQ_ROWS,
-        "request_len": CONC_REQ_LEN,
-        "think_time_us": CONC_THINK_US,
-        "attempts": attempts,
-        "results": serde_json::Value::Array(entries),
-    });
-    write_report(out_path, &report);
-}
-
 /// The per-run counters chaos mode asserts deterministic: the same seed
 /// must reproduce them exactly, run after run, because the fault plan
 /// decides per forward-call *index* and the single sequential client
@@ -1267,7 +604,7 @@ struct ChaosRun {
 /// determinism is verified, not presumed. Successful responses are
 /// bit-compared against sequential execution of the clean kernel:
 /// chaos may kill a request, never corrupt one.
-fn chaos_harness(threads: usize, smoke: bool, seed: u64, floor: Option<f64>, out_path: &str) {
+fn chaos_harness(smoke: bool, seed: u64, floor: Option<f64>, out_path: &str) {
     // Worker panics are the *point* here; keep the log readable.
     silence_injected_panics();
     let total_requests = if smoke { 30 } else { 120 };
@@ -1281,7 +618,7 @@ fn chaos_harness(threads: usize, smoke: bool, seed: u64, floor: Option<f64>, out
         "# Chaos serving: {total_requests} requests of {CHAOS_REQ_ROWS} rows x \
          {CHAOS_REQ_LEN}, fault window calls {w0}..{w1} (seed {seed}, rate {CHAOS_RATE} \
          per row, panic|error|{CHAOS_DELAY_US}us-delay), {CHAOS_SHARDS} shards x \
-         {threads} thread(s); every schedule run twice, counters must match\n"
+         {CHAOS_THREADS} thread(s); every schedule run twice, counters must match\n"
     );
     print_header(&[
         "kernel",
@@ -1330,8 +667,8 @@ fn chaos_harness(threads: usize, smoke: bool, seed: u64, floor: Option<f64>, out
             .collect();
 
         // Run the identical schedule twice; the counters must agree.
-        let first = chaos_run(kernel, &requests, &wants, seed, w0..w1, threads);
-        let second = chaos_run(kernel, &requests, &wants, seed, w0..w1, threads);
+        let first = chaos_run(kernel, &requests, &wants, seed, w0..w1);
+        let second = chaos_run(kernel, &requests, &wants, seed, w0..w1);
         assert_eq!(
             first.counters,
             second.counters,
@@ -1445,7 +782,7 @@ fn chaos_harness(threads: usize, smoke: bool, seed: u64, floor: Option<f64>, out
         "request_rows": CHAOS_REQ_ROWS,
         "request_len": CHAOS_REQ_LEN,
         "shards": CHAOS_SHARDS,
-        "threads_per_shard": threads,
+        "threads_per_shard": CHAOS_THREADS,
         "availability_floor": floor,
         "min_availability_window": min_availability,
         "results": serde_json::Value::Array(entries),
@@ -1479,7 +816,6 @@ fn chaos_run(
     wants: &[Vec<f64>],
     seed: u64,
     window: std::ops::Range<u64>,
-    threads: usize,
 ) -> ChaosRun {
     let (w0, w1) = (window.start, window.end);
     let plan = FaultPlan::new(seed, CHAOS_RATE)
@@ -1489,9 +825,9 @@ fn chaos_run(
     let as_kernel: Arc<dyn SoftmaxKernel> = faulty.clone();
     // Generous respawn budget: every injected panic kills a worker and
     // the pool must heal through all of them.
-    let config = ServeConfig::new(threads)
+    let config = ServeConfig::new(CHAOS_THREADS)
         .with_chunk_rows(CHAOS_REQ_ROWS)
-        .with_queue_depth(CONC_INFLIGHT)
+        .with_queue_depth(CHAOS_QUEUE_DEPTH)
         .with_respawn_cap(4096);
     let router = ShardedRouter::new(CHAOS_SHARDS, config, RoutePolicy::RoundRobin)
         .expect("chaos router config");
@@ -2440,420 +1776,6 @@ fn pctl(sorted: &[f64], q: f64) -> f64 {
     }
     let index = ((sorted.len() as f64 - 1.0) * q).round() as usize;
     sorted[index.min(sorted.len() - 1)]
-}
-
-/// A fresh router for one concurrent-mode cell (pool spawn cost stays
-/// out of the timed window; stats start clean).
-fn conc_router(shards: usize, threads: usize) -> ShardedRouter {
-    ShardedRouter::new(
-        shards,
-        ServeConfig::new(threads).with_queue_depth(CONC_INFLIGHT),
-        RoutePolicy::RoundRobin,
-    )
-    .expect("router config")
-}
-
-/// Serves the whole request pool, striped over `clients` threads (each
-/// running submit → wait serially), and returns the responses in pool
-/// order.
-fn serve_pool(
-    router: &ShardedRouter,
-    kernel: &std::sync::Arc<dyn softermax::SoftmaxKernel>,
-    requests: &[Vec<f64>],
-    clients: usize,
-) -> Vec<Vec<f64>> {
-    let collected: Vec<Vec<(usize, Vec<f64>)>> = std::thread::scope(|scope| {
-        // Stripe the pool: client c serves requests c, c+clients, ...
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                scope.spawn(move || {
-                    (client..requests.len())
-                        .step_by(clients)
-                        .map(|index| {
-                            // Closed loop: think, then submit and wait.
-                            std::thread::sleep(Duration::from_micros(CONC_THINK_US));
-                            let ticket = router
-                                .submit_wait(kernel, requests[index].clone(), CONC_REQ_LEN)
-                                .expect("submission admitted");
-                            (index, ticket.wait().expect("request served"))
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let mut outputs: Vec<Vec<f64>> = vec![Vec::new(); requests.len()];
-    for (index, out) in collected.into_iter().flatten() {
-        outputs[index] = out;
-    }
-    outputs
-}
-
-/// Request geometry of remote mode: big enough that each frame carries
-/// real work, small enough that JSON framing stays a measurable (not
-/// dominant) fraction and smoke runs finish fast.
-const REMOTE_ROWS: usize = 16;
-const REMOTE_LEN: usize = 128;
-const REMOTE_ROWS_SMOKE: usize = 4;
-const REMOTE_LEN_SMOKE: usize = 32;
-
-/// Client-side pipelining window of the remote throughput phase (the
-/// server's own per-connection window defaults to 32; staying under it
-/// keeps backpressure at the client where the meter is).
-const REMOTE_WINDOW: usize = 16;
-
-/// The pipelined payloads cycle through variants so the bit-identity
-/// gate covers mixed traffic: plain batch, streamed, interactive with a
-/// roomy deadline, batch-priority streamed-with-deadline.
-fn remote_variant(
-    request: softermax_wire::SubmitRequest,
-    variant: usize,
-    row_len: usize,
-) -> softermax_wire::SubmitRequest {
-    match variant % 4 {
-        1 => request.streamed(2 * row_len).expect("chunk in range"),
-        2 => request
-            .with_deadline_ms(30_000)
-            .expect("budget in range")
-            .with_priority(softermax_wire::WirePriority::Interactive),
-        3 => request
-            .streamed(row_len)
-            .expect("chunk in range")
-            .with_deadline_ms(30_000)
-            .expect("budget in range")
-            .with_priority(softermax_wire::WirePriority::Batch),
-        _ => request,
-    }
-}
-
-/// Spawns a `softermax-server` child (TCP + Unix listeners) and parses
-/// its `listening ...` lines into endpoint specs. The binary is found
-/// via `SOFTERMAX_SERVER_BIN` or next to this harness binary in the
-/// cargo target directory.
-fn spawn_server() -> (std::process::Child, Vec<String>) {
-    let bin = std::env::var("SOFTERMAX_SERVER_BIN").unwrap_or_else(|_| {
-        let mut path = std::env::current_exe().expect("current exe");
-        path.set_file_name("softermax-server");
-        path.to_string_lossy().into_owned()
-    });
-    let socket = std::env::temp_dir().join(format!("softermax-bench-{}.sock", std::process::id()));
-    let mut child = std::process::Command::new(&bin)
-        .args([
-            "--tcp",
-            "127.0.0.1:0",
-            "--unix",
-            &socket.to_string_lossy(),
-            "--shards",
-            "2",
-            "--threads",
-            "2",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .unwrap_or_else(|e| {
-            eprintln!(
-                "cannot spawn server binary '{bin}': {e}\n\
-                 (build it with `cargo build -p softermax-server`, point \
-                 SOFTERMAX_SERVER_BIN at it, or pass --endpoint)"
-            );
-            std::process::exit(2);
-        });
-    let stdout = child.stdout.take().expect("child stdout piped");
-    let mut lines = std::io::BufRead::lines(std::io::BufReader::new(stdout));
-    let mut endpoints = Vec::new();
-    while endpoints.len() < 2 {
-        let line = lines
-            .next()
-            .expect("server exited before announcing its listeners")
-            .expect("read server stdout");
-        if let Some(spec) = line.strip_prefix("listening ") {
-            endpoints.push(spec.to_string());
-        }
-    }
-    // Let the drain message drain to nowhere; the child never writes
-    // enough afterwards to block on the dropped pipe.
-    drop(lines);
-    (child, endpoints)
-}
-
-/// The PR-9 network harness: drives a real `softermax-server` process
-/// over TCP and Unix sockets, bit-checking every reply against
-/// sequential in-process ground truth while metering latency (wire time
-/// included), throughput, and per-frame wire overhead.
-fn remote_harness(smoke: bool, endpoint_specs: &[String], shutdown_server: bool, out_path: &str) {
-    use softermax_client::{Client, ClientConfig, Endpoint};
-    use softermax_wire::SubmitRequest;
-
-    let (rows, row_len) = if smoke {
-        (REMOTE_ROWS_SMOKE, REMOTE_LEN_SMOKE)
-    } else {
-        (REMOTE_ROWS, REMOTE_LEN)
-    };
-    let closed_calls_per_kernel = if smoke { 4 } else { 24 };
-    let pipelined_requests = if smoke { 48 } else { 320 };
-
-    let (mut child, endpoints) = if endpoint_specs.is_empty() {
-        let (child, endpoints) = spawn_server();
-        (Some(child), endpoints)
-    } else {
-        (None, endpoint_specs.to_vec())
-    };
-    let source = if child.is_some() {
-        "spawned"
-    } else {
-        "external"
-    };
-    println!(
-        "remote harness: {source} server at {}",
-        endpoints.join(", ")
-    );
-
-    // Payloads and their sequential in-process ground truth, per kernel
-    // — the single source the bit-identity gate compares against. The
-    // sequential pass is also timed as the local scalar baseline.
-    let registry = registry();
-    let names = registry.names();
-    let scores: Vec<f64> = synthetic_matrix(rows, row_len, 6.5, 9);
-    let mut truth: std::collections::BTreeMap<String, Vec<f64>> = std::collections::BTreeMap::new();
-    let mut scratch = ScratchBuffers::default();
-    let seq_start = Instant::now();
-    for name in &names {
-        let kernel = registry.get(name).expect("registered kernel");
-        let mut out = vec![0.0; scores.len()];
-        for (row, out_row) in scores.chunks(row_len).zip(out.chunks_mut(row_len)) {
-            kernel
-                .forward_into(row, out_row, &mut scratch)
-                .expect("ground truth forward");
-        }
-        truth.insert(name.clone(), out);
-    }
-    let seq_s = seq_start.elapsed().as_secs_f64().max(1e-12);
-    let seq_rows_per_sec = (names.len() * rows) as f64 / seq_s;
-
-    // Local in-process baseline: the same mixed request stream through
-    // a router of the server's geometry, pipelined the same way — the
-    // honest "what did the network cost" comparison.
-    let local_rows_per_sec = {
-        let router = ShardedRouter::new(2, ServeConfig::new(2), RoutePolicy::Adaptive)
-            .expect("local router");
-        let start = Instant::now();
-        let mut tickets = std::collections::VecDeque::new();
-        for index in 0..pipelined_requests {
-            let name = &names[index % names.len()];
-            let kernel = registry.get(name).expect("registered kernel");
-            let mut submission = Submission::new(&kernel, scores.clone(), row_len);
-            match index % 4 {
-                1 => submission = submission.streamed(2 * row_len),
-                2 => {
-                    submission = submission
-                        .with_deadline(Duration::from_secs(30))
-                        .with_priority(Priority::Interactive);
-                }
-                3 => {
-                    submission = submission
-                        .streamed(row_len)
-                        .with_deadline(Duration::from_secs(30))
-                        .with_priority(Priority::Batch);
-                }
-                _ => {}
-            }
-            if tickets.len() >= REMOTE_WINDOW {
-                let (name, ticket): (String, softermax_serve::Ticket) =
-                    tickets.pop_front().expect("pending ticket");
-                let out = ticket.wait().expect("local request served");
-                assert_eq!(out, truth[&name], "local router must be bit-exact");
-            }
-            tickets.push_back((
-                name.clone(),
-                router
-                    .submit_request(submission, Admission::Block)
-                    .expect("local admission"),
-            ));
-        }
-        while let Some((name, ticket)) = tickets.pop_front() {
-            let out = ticket.wait().expect("local request served");
-            assert_eq!(out, truth[&name], "local router must be bit-exact");
-        }
-        (pipelined_requests * rows) as f64 / start.elapsed().as_secs_f64().max(1e-12)
-    };
-
-    let mut transports = Vec::new();
-    let mut mismatches_total: u64 = 0;
-    for spec in &endpoints {
-        let endpoint = Endpoint::parse(spec).unwrap_or_else(|e| {
-            eprintln!("bad --endpoint '{spec}': {e}");
-            std::process::exit(2);
-        });
-        let transport = match &endpoint {
-            Endpoint::Tcp(_) => "tcp",
-            Endpoint::Unix(_) => "unix",
-        };
-        let mut client = Client::connect(endpoint, ClientConfig::default()).unwrap_or_else(|e| {
-            eprintln!("cannot connect to {spec}: {e}");
-            std::process::exit(1);
-        });
-        let mut mismatches: u64 = 0;
-        let check = |name: &str, got: &[f64], mismatches: &mut u64| {
-            let want = &truth[name];
-            if got.len() != want.len()
-                || got
-                    .iter()
-                    .zip(want)
-                    .any(|(g, w)| g.to_bits() != w.to_bits())
-            {
-                *mismatches += 1;
-                eprintln!("BIT MISMATCH: kernel {name} over {spec}");
-            }
-        };
-
-        // Closed-loop latency phase: submit → wait, one at a time, so
-        // each sample spans encode + wire + serve + decode.
-        let mut samples_ns: Vec<f64> = Vec::new();
-        for name in &names {
-            for call in 0..closed_calls_per_kernel {
-                let request = remote_variant(
-                    SubmitRequest::build(0, name.clone(), &scores, row_len).expect("request"),
-                    call,
-                    row_len,
-                );
-                let start = Instant::now();
-                let result = client
-                    .call(request)
-                    .expect("remote call")
-                    .expect("remote result");
-                samples_ns.push(start.elapsed().as_nanos() as f64);
-                check(name, &result, &mut mismatches);
-            }
-        }
-        samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
-        let closed_calls = samples_ns.len();
-
-        // Pipelined throughput phase, wire bytes metered across it.
-        let bytes_sent_0 = client.bytes_sent();
-        let bytes_received_0 = client.bytes_received();
-        let frames_sent_0 = client.frames_sent();
-        let start = Instant::now();
-        let mut sent: Vec<String> = Vec::with_capacity(pipelined_requests);
-        let mut answered = 0usize;
-        for index in 0..pipelined_requests {
-            let name = names[index % names.len()].clone();
-            let request = remote_variant(
-                SubmitRequest::build(0, name.clone(), &scores, row_len).expect("request"),
-                index,
-                row_len,
-            );
-            if client.in_flight() >= REMOTE_WINDOW {
-                let (_, result) = client.next_reply().expect("pipelined reply");
-                let result = result.expect("pipelined result");
-                check(&sent[answered], &result, &mut mismatches);
-                answered += 1;
-            }
-            client.submit(request).expect("pipelined submit");
-            sent.push(name);
-        }
-        while client.in_flight() > 0 {
-            let (_, result) = client.next_reply().expect("pipelined reply");
-            let result = result.expect("pipelined result");
-            check(&sent[answered], &result, &mut mismatches);
-            answered += 1;
-        }
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let bytes_sent = client.bytes_sent() - bytes_sent_0;
-        let bytes_received = client.bytes_received() - bytes_received_0;
-        let frames = client.frames_sent() - frames_sent_0;
-        let payload_bytes = (rows * row_len * 8) as u64;
-        let rows_per_sec = (pipelined_requests * rows) as f64 / (wall_ns as f64 / 1e9).max(1e-12);
-        println!(
-            "{transport}: p50 {:.2} ms, p99 {:.2} ms closed-loop; {rows_per_sec:.0} rows/s pipelined ({:.1}% of local router); {mismatches} mismatches",
-            pctl(&samples_ns, 0.50) / 1e6,
-            pctl(&samples_ns, 0.99) / 1e6,
-            rows_per_sec / local_rows_per_sec * 100.0,
-        );
-        transports.push(serde_json::json!({
-            "transport": transport,
-            "endpoint": spec,
-            "closed_loop": {
-                "calls": closed_calls,
-                "p50_ns": pctl(&samples_ns, 0.50),
-                "p95_ns": pctl(&samples_ns, 0.95),
-                "p99_ns": pctl(&samples_ns, 0.99),
-            },
-            "pipelined": {
-                "requests": pipelined_requests,
-                "window": REMOTE_WINDOW,
-                "rows": pipelined_requests * rows,
-                "elements": pipelined_requests * rows * row_len,
-                "wall_ns": wall_ns,
-                "rows_per_sec": rows_per_sec,
-                "fraction_of_local_router": rows_per_sec / local_rows_per_sec,
-            },
-            "wire": {
-                "bytes_sent": bytes_sent,
-                "bytes_received": bytes_received,
-                "request_frames": frames,
-                "request_bytes_per_frame": bytes_sent as f64 / frames as f64,
-                "reply_bytes_per_frame": bytes_received as f64 / frames as f64,
-                "payload_f64_bytes_per_request": payload_bytes,
-                "request_overhead_bytes_per_frame":
-                    bytes_sent as f64 / frames as f64 - payload_bytes as f64,
-                "header_bytes_per_frame": softermax_wire::HEADER_BYTES,
-            },
-            "mismatches": mismatches,
-        }));
-        mismatches_total += mismatches;
-    }
-
-    // Optional clean-drain finale; a spawned child is always drained
-    // (never leaked), the flag is for externally started servers.
-    let mut clean_exit: Option<bool> = None;
-    if shutdown_server || child.is_some() {
-        let spec = endpoints.first().expect("at least one endpoint");
-        let endpoint = Endpoint::parse(spec).expect("validated above");
-        let mut closer =
-            Client::connect(endpoint, ClientConfig::default()).expect("shutdown connection");
-        closer.shutdown_server().expect("shutdown acknowledged");
-        if let Some(child) = child.as_mut() {
-            let status = child.wait().expect("server exit status");
-            clean_exit = Some(status.success());
-            println!("server drained, exit {status}");
-        }
-    }
-
-    let report = serde_json::json!({
-        "mode": "remote",
-        "smoke": smoke,
-        "server": { "source": source, "endpoints": endpoints.clone() },
-        "workload": {
-            "kernels": names.len(),
-            "rows_per_request": rows,
-            "row_len": row_len,
-            "closed_loop_calls_per_kernel": closed_calls_per_kernel,
-            "pipelined_requests": pipelined_requests,
-        },
-        "local": {
-            "sequential_rows_per_sec": seq_rows_per_sec,
-            "router_rows_per_sec": local_rows_per_sec,
-        },
-        "transports": transports,
-        "mismatches_total": mismatches_total,
-        "shutdown": {
-            "requested": shutdown_server || source == "spawned",
-            "clean_exit": clean_exit,
-        },
-    });
-    write_report(out_path, &report);
-    if mismatches_total > 0 {
-        eprintln!("{mismatches_total} replies were not bit-identical to in-process execution");
-        std::process::exit(1);
-    }
-    if clean_exit == Some(false) {
-        eprintln!("server did not exit cleanly after drain");
-        std::process::exit(1);
-    }
 }
 
 /// Writes one benchmark report, stamping the host/toolchain metadata

@@ -41,27 +41,13 @@ proptest! {
         }
     }
 
-    /// Chunked streaming (arbitrary split point) gives exactly the
-    /// one-shot result for every kernel, with the session reused across
-    /// consecutive rows.
+    /// Chunked streaming (arbitrary split point), `forward_into` and a
+    /// 2-row batch give exactly the one-shot result for every kernel,
+    /// with the session reused across consecutive rows.
     #[test]
     fn streaming_equals_one_shot(x in arb_scores(48), split in 0usize..48) {
         let split = split.min(x.len());
-        for kernel in &KernelRegistry::with_builtins() {
-            let one_shot = kernel.forward(&x).expect("non-empty row");
-            let mut session = kernel.stream_session();
-            let mut streamed = vec![0.0; x.len()];
-            // Two passes through the same session: reuse must not leak
-            // state from the previous row.
-            for _ in 0..2 {
-                session.reset(x.len());
-                session.push_chunk(&x[..split]);
-                session.push_chunk(&x[split..]);
-                prop_assert_eq!(session.len(), x.len());
-                session.finish_into(&mut streamed).expect("non-empty row");
-                prop_assert_eq!(&streamed, &one_shot, "{} streaming diverged", kernel.name());
-            }
-        }
+        assert_every_path_matches_forward(&x, &[&x[..split], &x[split..]]);
     }
 
     /// Kernels preserve the order of sufficiently separated scores: a
@@ -198,6 +184,67 @@ fn batch_geometry_errors_are_uniform() {
                     )
                 });
         }
+    }
+}
+
+/// Every builtin's `forward_into`, `forward_batch_into` (the row twice,
+/// as a 2-row matrix) and one `StreamSession` fed `chunks` (whose
+/// concatenation is `x`) give exactly the bits of `forward(x)`. The
+/// session serves the row twice: reuse must not leak state from the
+/// previous row.
+fn assert_every_path_matches_forward(x: &[f64], chunks: &[&[f64]]) {
+    for kernel in &KernelRegistry::with_builtins() {
+        let name = kernel.name();
+        let len = x.len();
+        let one_shot = kernel.forward(x).expect("non-empty row");
+
+        let mut row_into = vec![0.0; len];
+        kernel
+            .forward_into(x, &mut row_into, &mut ScratchBuffers::default())
+            .expect("non-empty row");
+        assert_eq!(
+            row_into, one_shot,
+            "{name} forward_into diverged at len {len}"
+        );
+
+        let matrix = [x, x].concat();
+        let mut batch = vec![0.0; 2 * len];
+        kernel
+            .forward_batch_into(&matrix, len, &mut batch, &mut BatchScratch::default())
+            .expect("valid matrix");
+        for row in batch.chunks_exact(len) {
+            assert_eq!(
+                row, one_shot,
+                "{name} forward_batch_into diverged at len {len}"
+            );
+        }
+
+        let mut session = kernel.stream_session();
+        let mut streamed = vec![0.0; len];
+        for _ in 0..2 {
+            session.reset(len);
+            for chunk in chunks {
+                session.push_chunk(chunk);
+            }
+            assert_eq!(session.len(), len);
+            session.finish_into(&mut streamed).expect("non-empty row");
+            assert_eq!(streamed, one_shot, "{name} streaming diverged at len {len}");
+        }
+    }
+}
+
+/// The paper's sequence-length scale, far past the proptest rows: every
+/// path agrees at row lengths {64, 256, 1024, 4096}, streamed in
+/// 64-wide chunks. The rising trend moves the row maximum into later
+/// chunks, so streaming must rescale its running sum as it goes.
+#[test]
+fn every_path_matches_forward_at_long_row_lengths() {
+    for len in [64, 256, 1024, 4096] {
+        let x: Vec<f64> = (0..len)
+            .map(|i| 3.0 * (i as f64 * 0.37).sin() + 8.0 * i as f64 / len as f64 - 4.0)
+            .collect();
+        let chunks: Vec<&[f64]> = x.chunks(64).collect();
+        assert_every_path_matches_forward(&x, &chunks);
     }
 }
 

@@ -6,7 +6,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use softermax_transformer::attention::{AttentionSoftmax, KernelSoftmax, MultiHeadAttention};
+use softermax::kernel::KernelRegistry;
+use softermax_transformer::attention::{
+    attention_head_materialized, attention_head_streamed, AttentionSoftmax, KernelSoftmax,
+    MultiHeadAttention,
+};
 use softermax_transformer::nn::{cross_entropy, Linear};
 use softermax_transformer::quant::FakeQuant;
 use softermax_transformer::tensor::Matrix;
@@ -113,5 +117,24 @@ proptest! {
         prop_assert_eq!(y1.clone(), y2);
         prop_assert_eq!((y1.rows(), y1.cols()), (5, 8));
         prop_assert!(y1.as_slice().iter().all(|v| v.is_finite()));
+    }
+}
+
+/// Tiled-streamed attention heads are bit-identical to materialized
+/// heads for every builtin kernel at a sequence long enough for several
+/// full 64-wide column tiles (the unit tests cover a 13-row head).
+#[test]
+fn streamed_head_matches_materialized_head_over_many_tiles() {
+    let (seq, d_head, tile) = (256, 16, 64);
+    let mut rng = StdRng::seed_from_u64(13);
+    let q = Matrix::xavier(seq, d_head, &mut rng);
+    let k = Matrix::xavier(seq, d_head, &mut rng);
+    let v = Matrix::xavier(seq, d_head, &mut rng);
+    let scale = 1.0 / (d_head as f32).sqrt();
+    for kernel in &KernelRegistry::with_builtins() {
+        let backend = KernelSoftmax::from_kernel(Arc::clone(kernel));
+        let want = attention_head_materialized(&backend, &q, &k, &v, scale);
+        let got = attention_head_streamed(kernel.as_ref(), &q, &k, &v, scale, tile);
+        assert_eq!(got, want, "{} diverged at seq {seq}", kernel.name());
     }
 }
