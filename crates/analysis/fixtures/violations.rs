@@ -15,16 +15,6 @@ struct Shared {
     bell: Condvar, //~ lock-discipline
 }
 
-fn panics(xs: &[u32], r: Result<u32, ()>) -> u32 {
-    let a = xs[0]; //~ panic-surface
-    let b = r.unwrap(); //~ panic-surface
-    let c = r.expect("fixture"); //~ panic-surface
-    if a > b + c {
-        panic!("boom"); //~ panic-surface
-    }
-    unreachable!() //~ panic-surface
-}
-
 fn hot_fn(out: &mut Vec<u32>) {
     let mut tmp = Vec::new(); //~ hot-path-alloc
     let s = "x".to_string(); //~ hot-path-alloc
@@ -62,7 +52,9 @@ fn undocumented_unsafe(p: *const u32) -> u32 {
 }
 
 fn bad_suppressions(r: Result<u32, ()>) {
-    // analysis:allow(panic-surface) //~ bad-suppression
+    // analysis:allow(hot-path-alloc) //~ bad-suppression
     // analysis:allow(made-up-lint): the lint name does not exist //~ bad-suppression
+    // A retired lint is an unknown lint: clippy::unwrap_used denies this now.
+    // analysis:allow(panic-surface): leftover from the lexer lint //~ bad-suppression
     drop(r);
 }

@@ -19,8 +19,9 @@ pub fn render(sites: &[UnsafeSite]) -> String {
     out.push_str("# Unsafe inventory\n\n");
     out.push_str(
         "Generated by `cargo run -p softermax-analysis -- inventory --write`.\n\
-         CI regenerates this file and fails on any difference, so `unsafe`\n\
-         cannot enter or leave the workspace without a reviewed diff here.\n\
+         The `workspace_clean` test re-renders this file and fails on any\n\
+         difference, so `unsafe` cannot enter or leave the workspace\n\
+         without a reviewed diff here.\n\
          Entries are keyed by file, kind, context, and SAFETY rationale —\n\
          not line numbers — so unrelated edits above a site do not churn\n\
          the inventory.\n\n",

@@ -19,8 +19,8 @@
 
 /// One lexical token. Comment and string contents are retained:
 /// comments carry the `// SAFETY:` / `// analysis:allow` annotations,
-/// and string contents are what the wire-stability lint reads frame
-/// tags from.
+/// and a string stays one token, so nothing inside it is ever read as
+/// code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
     /// Identifier or keyword (raw identifiers come back without `r#`).

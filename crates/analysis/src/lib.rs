@@ -1,22 +1,23 @@
 //! `softermax-analysis` — the workspace's static-analysis suite.
 //!
 //! The serving stack's correctness rests on invariants that `rustc`
-//! cannot see: every `unsafe` needs a written justification, the
-//! remotely reachable wire/server/client code must not panic, the hot
-//! per-row path must not allocate, locks must be taken in one declared
-//! order with condvar waits in predicate loops, and the wire format's
-//! tags and error codes must match their golden documentation. This
-//! crate lexes the workspace honestly (see [`lexer`]) and enforces all
-//! five as a lint catalog:
+//! and clippy cannot see: every `unsafe` needs a written justification
+//! and an inventory entry, the hot per-row path must not allocate, and
+//! locks must be taken in one declared order with condvar waits in
+//! predicate loops. This crate lexes the workspace honestly (see
+//! [`lexer`]) and enforces those as a lint catalog:
 //!
 //! | lint | what it denies |
 //! |------|----------------|
 //! | `unsafe-audit` | `unsafe` without a `// SAFETY:` comment; drift against `docs/UNSAFE_INVENTORY.md` |
-//! | `panic-surface` | `unwrap`/`expect`/panicking macros/indexing in no-panic zones |
 //! | `hot-path-alloc` | allocating calls inside manifest-listed hot functions |
 //! | `lock-discipline` | undeclared locks, out-of-order acquisition, condvar waits outside `while`/`loop` |
-//! | `wire-stability` | frame tags / error codes unmatched by `docs/PROTOCOL.md` |
-//! | `bad-suppression` | `analysis:allow` without a lint name and reason |
+//! | `bad-suppression` | `analysis:allow` without a lint name and reason, or naming an unknown lint |
+//!
+//! What the compiler can carry, it does: the no-panic zones are
+//! `#![deny(clippy::unwrap_used, …)]` in the wire, server and client
+//! crate roots, and the wire contract is checked against
+//! `docs/PROTOCOL.md` by `crates/wire/tests/protocol_doc.rs`.
 //!
 //! Findings are suppressed — one at a time, with a mandatory reason —
 //! by `// analysis:allow(<lint>): <reason>` on the same line or the
@@ -31,10 +32,8 @@ pub mod items;
 pub mod lexer;
 pub mod lock_discipline;
 pub mod manifest;
-pub mod panic_surface;
 pub mod scan;
 pub mod unsafe_audit;
-pub mod wire_stability;
 
 use std::path::Path;
 
@@ -46,10 +45,8 @@ use unsafe_audit::UnsafeSite;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lint {
     UnsafeAudit,
-    PanicSurface,
     HotPathAlloc,
     LockDiscipline,
-    WireStability,
     BadSuppression,
 }
 
@@ -59,10 +56,8 @@ impl Lint {
     pub const fn name(self) -> &'static str {
         match self {
             Lint::UnsafeAudit => "unsafe-audit",
-            Lint::PanicSurface => "panic-surface",
             Lint::HotPathAlloc => "hot-path-alloc",
             Lint::LockDiscipline => "lock-discipline",
-            Lint::WireStability => "wire-stability",
             Lint::BadSuppression => "bad-suppression",
         }
     }
@@ -72,10 +67,8 @@ impl Lint {
     pub const fn all() -> &'static [Lint] {
         &[
             Lint::UnsafeAudit,
-            Lint::PanicSurface,
             Lint::HotPathAlloc,
             Lint::LockDiscipline,
-            Lint::WireStability,
             Lint::BadSuppression,
         ]
     }
@@ -116,15 +109,9 @@ pub struct Analysis {
 }
 
 /// Runs the whole catalog over pre-loaded `(rel_path, contents)`
-/// sources. `protocol_md` is the text of `docs/PROTOCOL.md`; when
-/// `None`, the wire-stability lint reports that the document is
-/// missing (if any wire source is present).
+/// sources.
 #[must_use]
-pub fn analyze_sources(
-    sources: &[(String, String)],
-    manifest: &Manifest,
-    protocol_md: Option<&str>,
-) -> Analysis {
+pub fn analyze_sources(sources: &[(String, String)], manifest: &Manifest) -> Analysis {
     let mut violations = Vec::new();
     let mut unsafe_sites = Vec::new();
 
@@ -132,27 +119,11 @@ pub fn analyze_sources(
         let file = SourceFile::parse(rel, text);
 
         unsafe_audit::run(&file, &mut unsafe_sites, &mut violations);
-        if manifest.in_no_panic_zone(rel) {
-            panic_surface::run(&file, &mut violations);
-        }
         if let Some(hot) = manifest.hot_path_for(rel) {
             hot_alloc::run(&file, hot, &mut violations);
         }
         if let Some(scope) = manifest.lock_scope_for(rel) {
             lock_discipline::run(&file, scope, &mut violations);
-        }
-        if rel == "crates/wire/src/frame.rs" {
-            match protocol_md {
-                Some(md) => wire_stability::run(&file, md, &mut violations),
-                None => violations.push(Violation {
-                    lint: Lint::WireStability,
-                    file: rel.clone(),
-                    line: 1,
-                    message: "docs/PROTOCOL.md is missing: the wire format has no golden \
-                              documentation to check against"
-                        .to_owned(),
-                }),
-            }
         }
 
         apply_suppressions(&file, &mut violations);
@@ -215,8 +186,7 @@ fn apply_suppressions(file: &SourceFile, violations: &mut Vec<Violation>) {
 /// Returns the first I/O error from walking or reading sources.
 pub fn analyze_workspace(root: &Path, manifest: &Manifest) -> std::io::Result<Analysis> {
     let sources = scan::collect_sources(root)?;
-    let protocol_md = std::fs::read_to_string(root.join("docs/PROTOCOL.md")).ok();
-    Ok(analyze_sources(&sources, manifest, protocol_md.as_deref()))
+    Ok(analyze_sources(&sources, manifest))
 }
 
 /// The workspace root this binary was built in: `crates/analysis/../..`.

@@ -1,14 +1,14 @@
 //! `softermax-analysis` CLI.
 //!
 //! ```text
-//! cargo run -p softermax-analysis -- check [--root PATH]
-//! cargo run -p softermax-analysis -- inventory [--write | --check] [--root PATH]
+//! cargo run -p softermax-analysis -- inventory [--write] [--root PATH]
 //! ```
 //!
-//! `check` runs the full lint catalog plus the inventory drift check
-//! and exits non-zero on any finding; it is the gate CI runs.
-//! `inventory --write` regenerates `docs/UNSAFE_INVENTORY.md` after an
-//! intentional unsafe change; `--check` (the default) only diffs.
+//! `inventory` diffs the committed `docs/UNSAFE_INVENTORY.md` against
+//! a fresh render and exits non-zero on drift; `--write` regenerates it
+//! after an intentional unsafe change. The lint catalog itself runs as
+//! a plain test (`tests/workspace_clean.rs`), so `cargo test` is the
+//! gate.
 
 #![forbid(unsafe_code)]
 
@@ -19,35 +19,30 @@ use softermax_analysis::manifest::Manifest;
 use softermax_analysis::{analyze_workspace, inventory};
 
 const INVENTORY_PATH: &str = "docs/UNSAFE_INVENTORY.md";
+const USAGE: &str = "usage: softermax-analysis inventory [--write] [--root PATH]";
 
 struct Args {
-    command: String,
     write: bool,
     root: PathBuf,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
-    let mut command = None;
+    if args.next().as_deref() != Some("inventory") {
+        return Err(USAGE.to_owned());
+    }
     let mut write = false;
     let mut root = softermax_analysis::default_root();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "check" | "inventory" => command = Some(arg),
             "--write" => write = true,
-            "--check" => write = false,
             "--root" => {
                 root = PathBuf::from(args.next().ok_or("--root needs a path")?);
             }
-            other => return Err(format!("unknown argument `{other}`")),
+            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    Ok(Args {
-        command: command
-            .ok_or("usage: softermax-analysis <check|inventory> [--write] [--root PATH]")?,
-        write,
-        root,
-    })
+    Ok(Args { write, root })
 }
 
 fn main() -> ExitCode {
@@ -58,8 +53,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let manifest = Manifest::workspace();
-    let analysis = match analyze_workspace(&args.root, &manifest) {
+    let analysis = match analyze_workspace(&args.root, &Manifest::workspace()) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("failed to scan workspace at {}: {e}", args.root.display());
@@ -70,44 +64,18 @@ fn main() -> ExitCode {
     let rendered = inventory::render(&analysis.unsafe_sites);
     let inventory_file = args.root.join(INVENTORY_PATH);
 
-    if args.command == "inventory" {
-        if args.write {
-            if let Err(e) = std::fs::write(&inventory_file, &rendered) {
-                eprintln!("cannot write {INVENTORY_PATH}: {e}");
-                return ExitCode::from(2);
-            }
-            println!(
-                "wrote {INVENTORY_PATH} ({} unsafe sites)",
-                analysis.unsafe_sites.len()
-            );
-            return ExitCode::SUCCESS;
+    if args.write {
+        if let Err(e) = std::fs::write(&inventory_file, &rendered) {
+            eprintln!("cannot write {INVENTORY_PATH}: {e}");
+            return ExitCode::from(2);
         }
-        return check_drift(&inventory_file, &rendered);
-    }
-
-    // `check`: lints + drift, everything the CI gate needs.
-    for v in &analysis.violations {
-        println!("{v}");
-    }
-    let drift = check_drift(&inventory_file, &rendered);
-    if analysis.violations.is_empty() && drift == ExitCode::SUCCESS {
         println!(
-            "static analysis clean: 0 violations, {} audited unsafe sites",
+            "wrote {INVENTORY_PATH} ({} unsafe sites)",
             analysis.unsafe_sites.len()
         );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "static analysis: {} violation(s); see docs/ANALYSIS.md for the catalog \
-             and the suppression syntax",
-            analysis.violations.len()
-        );
-        ExitCode::FAILURE
+        return ExitCode::SUCCESS;
     }
-}
-
-fn check_drift(inventory_file: &std::path::Path, rendered: &str) -> ExitCode {
-    match std::fs::read_to_string(inventory_file) {
+    match std::fs::read_to_string(&inventory_file) {
         Ok(committed) if committed == rendered => ExitCode::SUCCESS,
         Ok(_) => {
             println!(

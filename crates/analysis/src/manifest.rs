@@ -1,5 +1,5 @@
-//! The analysis manifest: which paths are no-panic zones, which
-//! functions are hot paths, and what the declared lock order is.
+//! The analysis manifest: which functions are hot paths and what the
+//! declared lock order is.
 //!
 //! The manifest is data, not code, so growing a zone or declaring a
 //! new lock is a one-line JSON edit reviewed like any other invariant
@@ -37,9 +37,6 @@ pub struct LockScope {
 /// The full lint configuration.
 #[derive(Debug, Clone)]
 pub struct Manifest {
-    /// Path prefixes where `unwrap`/`expect`/`panic!`/indexing are
-    /// denied outside test code.
-    pub no_panic_zones: Vec<String>,
     /// Files × function names where allocation is denied.
     pub hot_paths: Vec<HotPath>,
     /// Lock-order and condvar declarations per path prefix.
@@ -81,8 +78,6 @@ impl Manifest {
     /// mistyped key.
     pub fn from_json(text: &str) -> Result<Self, ManifestError> {
         let root = from_str_value(text).map_err(|e| ManifestError(format!("bad JSON: {e:?}")))?;
-        let no_panic_zones = string_list(&root, "no_panic_zones")?;
-
         let mut hot_paths = Vec::new();
         let hp = root
             .get("hot_paths")
@@ -119,7 +114,6 @@ impl Manifest {
         }
 
         Ok(Manifest {
-            no_panic_zones,
             hot_paths,
             lock_scopes,
         })
@@ -136,13 +130,6 @@ impl Manifest {
     pub fn workspace() -> Self {
         Self::from_json(include_str!("../manifest.json"))
             .expect("embedded manifest.json must parse")
-    }
-
-    /// True when `path` (workspace-relative, `/`-separated) lies in a
-    /// declared no-panic zone.
-    #[must_use]
-    pub fn in_no_panic_zone(&self, path: &str) -> bool {
-        self.no_panic_zones.iter().any(|z| path.starts_with(z))
     }
 
     /// The lock scope covering `path`, if any.

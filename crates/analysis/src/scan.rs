@@ -8,8 +8,8 @@ use std::path::Path;
 
 use crate::lexer::{lex, Tok, Token};
 
-/// Rust keywords: a `[` after one of these is an array literal, slice
-/// pattern, or type — not indexing. (Used by the panic-surface lint.)
+/// Rust keywords: never a binding name, so never a lock guard (used
+/// by the lock-discipline lint).
 pub const KEYWORDS: &[&str] = &[
     "as", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "fn", "for",
     "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref", "return",
@@ -40,7 +40,8 @@ pub struct SourceFile {
     /// Comment-free token stream (what the lints scan).
     pub tokens: Vec<Token>,
     /// Parallel to `tokens`: true inside `#[test]` functions and
-    /// `#[cfg(test)]` items, where the panic/alloc lints do not apply.
+    /// `#[cfg(test)]` items, where the alloc and lock lints do not
+    /// apply.
     pub mask: Vec<bool>,
     /// All comments, as (line, text) pairs (SAFETY rationale lives
     /// here).

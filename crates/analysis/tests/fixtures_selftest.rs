@@ -13,14 +13,14 @@ const CLEAN: &str = include_str!("../fixtures/clean.rs");
 const SUPPRESSED: &str = include_str!("../fixtures/suppressed.rs");
 
 /// A manifest aimed at the fixture files: the whole `fixtures/` prefix
-/// is a no-panic zone and a lock scope, and both `hot_fn`s are hot.
+/// is a lock scope, and every fixture's `hot_fn` is hot.
 fn fixture_manifest() -> Manifest {
     Manifest::from_json(
         r#"{
-            "no_panic_zones": ["fixtures"],
             "hot_paths": [
                 {"file": "fixtures/violations.rs", "functions": ["hot_fn"]},
-                {"file": "fixtures/clean.rs", "functions": ["hot_fn"]}
+                {"file": "fixtures/clean.rs", "functions": ["hot_fn"]},
+                {"file": "fixtures/suppressed.rs", "functions": ["hot_fn"]}
             ],
             "lock_scopes": [
                 {"scope": "fixtures", "order": ["first", "second"], "condvars": ["work"]}
@@ -57,7 +57,7 @@ fn expected_markers(src: &str) -> Vec<(u32, String)> {
 #[test]
 fn violations_fixture_flags_exactly_the_marked_lines() {
     let sources = vec![("fixtures/violations.rs".to_owned(), VIOLATIONS.to_owned())];
-    let analysis = analyze_sources(&sources, &fixture_manifest(), None);
+    let analysis = analyze_sources(&sources, &fixture_manifest());
 
     let mut actual: Vec<(u32, String)> = analysis
         .violations
@@ -92,7 +92,7 @@ fn condvar_wait_outside_loop_is_flagged_like_the_pr8_bug() {
         .expect("violations fixture plants a wait") as u32
         + 1;
     let sources = vec![("fixtures/violations.rs".to_owned(), VIOLATIONS.to_owned())];
-    let analysis = analyze_sources(&sources, &fixture_manifest(), None);
+    let analysis = analyze_sources(&sources, &fixture_manifest());
     assert!(
         analysis
             .violations
@@ -113,7 +113,7 @@ fn condvar_wait_outside_loop_is_flagged_like_the_pr8_bug() {
 #[test]
 fn clean_fixture_has_zero_findings() {
     let sources = vec![("fixtures/clean.rs".to_owned(), CLEAN.to_owned())];
-    let analysis = analyze_sources(&sources, &fixture_manifest(), None);
+    let analysis = analyze_sources(&sources, &fixture_manifest());
     assert!(
         analysis.violations.is_empty(),
         "clean fixture must produce no findings, got:\n{}",
@@ -133,7 +133,7 @@ fn clean_fixture_has_zero_findings() {
 #[test]
 fn suppressed_fixture_survives_with_zero_findings() {
     let sources = vec![("fixtures/suppressed.rs".to_owned(), SUPPRESSED.to_owned())];
-    let analysis = analyze_sources(&sources, &fixture_manifest(), None);
+    let analysis = analyze_sources(&sources, &fixture_manifest());
     assert!(
         analysis.violations.is_empty(),
         "well-formed suppressions must cover every planted finding, got:\n{}",
@@ -144,51 +144,34 @@ fn suppressed_fixture_survives_with_zero_findings() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
 
-#[test]
-fn wire_stability_flags_code_tag_and_doc_drift() {
-    let frame_src = r#"
-pub enum ErrorCode {
-    BadInput = 1,
-    Internal = 9,
-}
-
-impl Frame {
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Frame::Hello(_) => "hello",
-            Frame::Submit(_) => "submit",
-        }
-    }
-}
-"#;
-    let protocol = "| code | meaning |\n| --- | --- |\n| 1 | bad input |\n| 7 | reserved |\n\n\
-                    `{\"type\":\"hello\"}`\n";
-    let sources = vec![("crates/wire/src/frame.rs".to_owned(), frame_src.to_owned())];
-    let analysis = analyze_sources(&sources, &fixture_manifest(), Some(protocol));
-
-    let msgs: Vec<&str> = analysis
-        .violations
-        .iter()
-        .map(|v| {
-            assert_eq!(v.lint, Lint::WireStability);
-            v.message.as_str()
+    // Each suppression must be load-bearing: with the markers defused,
+    // every one of them uncovers exactly one finding of the lint it
+    // names, on its own line or the line below.
+    let suppressions: Vec<(u32, &str)> = SUPPRESSED
+        .lines()
+        .enumerate()
+        .filter_map(|(i, line)| {
+            let (_, rest) = line.split_once("// analysis:allow(")?;
+            Some((i as u32 + 1, rest.split_once(')')?.0))
         })
         .collect();
-    assert_eq!(msgs.len(), 3, "findings: {msgs:?}");
-    assert!(msgs.iter().any(|m| m.contains("`Internal = 9`")));
-    assert!(msgs.iter().any(|m| m.contains("error code 7")));
-    assert!(msgs.iter().any(|m| m.contains("\"submit\"")));
-}
-
-#[test]
-fn missing_protocol_doc_is_itself_a_finding() {
-    let sources = vec![(
-        "crates/wire/src/frame.rs".to_owned(),
-        "pub enum ErrorCode { A = 1 }".to_owned(),
-    )];
-    let analysis = analyze_sources(&sources, &fixture_manifest(), None);
-    assert_eq!(analysis.violations.len(), 1);
-    assert!(analysis.violations[0].message.contains("PROTOCOL.md"));
+    assert_eq!(
+        suppressions.len(),
+        5,
+        "fixture covers hot-path-alloc and lock-discipline in both forms, plus unsafe-audit"
+    );
+    let defused = SUPPRESSED.replace("analysis:allow(", "analysis-defused(");
+    let sources = vec![("fixtures/suppressed.rs".to_owned(), defused)];
+    let analysis = analyze_sources(&sources, &fixture_manifest());
+    assert_eq!(analysis.violations.len(), suppressions.len());
+    for (line, lint) in suppressions {
+        assert!(
+            analysis
+                .violations
+                .iter()
+                .any(|v| v.lint.name() == lint && (v.line == line || v.line == line + 1)),
+            "suppression `{lint}` on line {line} covers no finding"
+        );
+    }
 }

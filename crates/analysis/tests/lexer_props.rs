@@ -2,8 +2,8 @@
 //! fragments and decoy-bearing literals/comments must yield exactly
 //! the planted identifiers — never a decoy buried in a string, raw
 //! string, char literal, or comment — with correct line numbers. A
-//! second property drives the same fragments through the panic-surface
-//! lint end-to-end.
+//! second property drives the same fragments through the
+//! hot-path-alloc lint end-to-end.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -12,19 +12,19 @@ use softermax_analysis::manifest::Manifest;
 use softermax_analysis::{analyze_sources, Lint};
 
 /// One newline-free source fragment plus the identifiers the lexer
-/// must surface from it (in order). Decoy fragments bury panic-ish
-/// identifiers inside literals and comments and must surface nothing.
+/// must surface from it (in order). Decoy fragments bury allocating
+/// calls inside literals and comments and must surface nothing.
 const FRAGMENTS: &[(&str, &[&str])] = &[
     ("alpha", &["alpha"]),
     ("let beta = 1;", &["let", "beta"]),
     ("r#match", &["match"]),
     ("gamma_7(delta)", &["gamma_7", "delta"]),
     ("&'static life_ty", &["life_ty"]),
-    ("\"unwrap() panic! expect decoy\"", &[]),
-    ("// unwrap expect panic decoy", &[]),
-    ("/* outer /* unwrap nested */ expect */", &[]),
-    (r###"r##"decoy "# unwrap inside"##"###, &[]),
-    ("b\"SMAX unwrap bytes\"", &[]),
+    ("\"xs.to_vec() vec![0] decoy\"", &[]),
+    ("// .collect() format!(decoy)", &[]),
+    ("/* outer /* Vec::new() nested */ .to_string() */", &[]),
+    (r###"r##"decoy "# .to_owned() inside"##"###, &[]),
+    ("b\"SMAX .collect() bytes\"", &[]),
     ("'u'", &[]),
     ("'\\n'", &[]),
     ("0..10", &[]),
@@ -34,7 +34,16 @@ const FRAGMENTS: &[(&str, &[&str])] = &[
 
 /// Identifiers that appear *only* inside decoy literals/comments and
 /// must never come back as `Tok::Ident`.
-const DECOYS: &[&str] = &["unwrap", "expect", "panic", "decoy"];
+const DECOYS: &[&str] = &[
+    "to_vec",
+    "vec",
+    "collect",
+    "format",
+    "Vec",
+    "to_string",
+    "to_owned",
+    "decoy",
+];
 
 /// Builds one source line per chosen fragment.
 fn build(choices: &[u64]) -> (String, Vec<(&'static str, u32)>) {
@@ -86,24 +95,28 @@ proptest! {
     }
 
     #[test]
-    fn decoys_never_reach_the_panic_lint(choices in vec(0u64..1_000, 0..40)) {
-        // End-to-end: a no-panic zone built purely from decoy-laden
-        // fragments has zero findings; appending one real `.unwrap()`
-        // yields exactly one, on the right line.
-        let (src, _) = build(&choices);
+    fn decoys_never_reach_the_alloc_lint(choices in vec(0u64..1_000, 0..40)) {
+        // End-to-end: a hot function whose body is built purely from
+        // decoy-laden fragments has zero findings; appending one real
+        // `.to_vec()` yields exactly one, on the right line.
+        let (body, _) = build(&choices);
         let manifest = Manifest::from_json(
-            r#"{"no_panic_zones": ["gen"], "hot_paths": [], "lock_scopes": []}"#,
+            r#"{"hot_paths": [{"file": "gen/fuzz.rs", "functions": ["hot_fn"]}],
+                "lock_scopes": []}"#,
         ).expect("manifest parses");
 
-        let clean = vec![("gen/fuzz.rs".to_owned(), src.clone())];
-        let analysis = analyze_sources(&clean, &manifest, None);
+        let clean = vec![("gen/fuzz.rs".to_owned(), format!("fn hot_fn() {{\n{body}}}\n"))];
+        let analysis = analyze_sources(&clean, &manifest);
         prop_assert_eq!(analysis.violations.len(), 0);
 
-        let unwrap_line = src.lines().count() as u32 + 1;
-        let dirty = vec![("gen/fuzz.rs".to_owned(), format!("{src}result.unwrap();\n"))];
-        let analysis = analyze_sources(&dirty, &manifest, None);
+        let alloc_line = body.lines().count() as u32 + 2;
+        let dirty = vec![(
+            "gen/fuzz.rs".to_owned(),
+            format!("fn hot_fn() {{\n{body}let v = xs.to_vec();\n}}\n"),
+        )];
+        let analysis = analyze_sources(&dirty, &manifest);
         prop_assert_eq!(analysis.violations.len(), 1);
-        prop_assert_eq!(analysis.violations[0].lint, Lint::PanicSurface);
-        prop_assert_eq!(analysis.violations[0].line, unwrap_line);
+        prop_assert_eq!(analysis.violations[0].lint, Lint::HotPathAlloc);
+        prop_assert_eq!(analysis.violations[0].line, alloc_line);
     }
 }

@@ -2,8 +2,7 @@
 //! catalog over the repository must produce zero findings, and the
 //! committed `docs/UNSAFE_INVENTORY.md` must match what the audit
 //! would regenerate. `cargo test` is therefore itself the
-//! static-analysis gate — CI's dedicated job just surfaces the
-//! findings with better formatting.
+//! static-analysis gate.
 
 use softermax_analysis::manifest::Manifest;
 use softermax_analysis::{analyze_workspace, default_root, inventory};
@@ -14,8 +13,8 @@ fn workspace_has_zero_violations() {
         .expect("workspace sources readable");
     assert!(
         analysis.violations.is_empty(),
-        "the workspace must stay lint-clean; run \
-         `cargo run -p softermax-analysis -- check`:\n{}",
+        "the workspace must stay lint-clean (docs/ANALYSIS.md has the catalog \
+         and the suppression syntax):\n{}",
         analysis
             .violations
             .iter()

@@ -16,16 +16,30 @@
 //!   reported as [`ClientError::ConnectionLost`] with the in-flight
 //!   count, because those results are genuinely gone.
 //! * **Wire accounting** — every byte and frame in both directions is
-//!   counted ([`Client::bytes_sent`] and friends), which is how the
-//!   bench harness measures per-frame protocol overhead.
+//!   counted ([`Client::bytes_sent`] and friends), which is how
+//!   `perfbench` measures protocol overhead (`wire.bytes_per_score`).
 //!
 //! The client is deliberately synchronous and single-threaded (std
-//! only, matching the repo's no-external-runtime rule): the bench
-//! harness runs one client per OS thread.
+//! only, matching the repo's no-external-runtime rule): a caller that
+//! wants several connections opens one client per connection.
 
 // No unsafe code in this crate, enforced by the compiler; the
 // workspace-wide unsafe audit lives in `softermax-analysis`.
 #![forbid(unsafe_code)]
+// Remotely reachable code: a malformed frame or a misbehaving peer
+// must surface as a typed error, never a panic. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -172,24 +172,25 @@ macro_rules! lane_envelope {
             fn inner($($arg: $ty),*) -> $ret $body
             #[cfg(target_arch = "x86_64")]
             {
-                // SAFETY: `unsafe` here is the `#[target_feature]`
-                // contract — the clone may only run on a CPU with AVX2.
-                // The cpuid-checked dispatch below is the sole caller.
                 #[target_feature(enable = "avx2")]
-                unsafe fn inner_avx2($($arg: $ty),*) -> $ret {
+                fn inner_avx2($($arg: $ty),*) -> $ret {
                     inner($($arg),*)
                 }
-                // SAFETY: same contract as above, for AVX-512F; only
-                // ever called from the cpuid-checked dispatch below.
                 #[target_feature(enable = "avx512f")]
-                unsafe fn inner_avx512($($arg: $ty),*) -> $ret {
+                fn inner_avx512($($arg: $ty),*) -> $ret {
                     inner($($arg),*)
                 }
-                // SAFETY: the dispatched envelope was verified supported by
-                // `lane::active` (cpuid detection) before being selected.
                 match $crate::lane::active() {
-                    $crate::lane::LanePath::Avx512 => unsafe { inner_avx512($($arg),*) },
-                    $crate::lane::LanePath::Avx2 => unsafe { inner_avx2($($arg),*) },
+                    $crate::lane::LanePath::Avx512 => {
+                        // SAFETY: `lane::active` selects Avx512 only after
+                        // cpuid detection confirmed AVX-512F.
+                        unsafe { inner_avx512($($arg),*) }
+                    }
+                    $crate::lane::LanePath::Avx2 => {
+                        // SAFETY: `lane::active` selects Avx2 only after
+                        // cpuid detection confirmed AVX2.
+                        unsafe { inner_avx2($($arg),*) }
+                    }
                     $crate::lane::LanePath::Baseline => inner($($arg),*),
                 }
             }

@@ -42,6 +42,20 @@
 // No unsafe code in this crate, enforced by the compiler; the
 // workspace-wide unsafe audit lives in `softermax-analysis`.
 #![forbid(unsafe_code)]
+// Remotely reachable code: a malformed frame or a misbehaving peer
+// must surface as a typed error, never a panic. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use std::collections::HashMap;
 use std::fmt;

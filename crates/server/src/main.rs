@@ -9,15 +9,30 @@
 //!
 //! At least one of `--tcp` / `--unix` is required. Each bound endpoint
 //! is reported on stdout as a `listening tcp:HOST:PORT` /
-//! `listening unix:PATH` line (parent processes — the bench harness,
-//! the CI smoke job — parse these; with `--tcp 127.0.0.1:0` the
-//! resolved ephemeral port is what gets printed). The process then
+//! `listening unix:PATH` line (parent processes — `perfbench` and
+//! `crates/server/tests/binary.rs` — parse these; with
+//! `--tcp 127.0.0.1:0` the resolved ephemeral port is what gets
+//! printed). The process then
 //! serves until a client sends a `Shutdown` frame, drains in-flight
 //! work, prints `drained N connections`, and exits 0.
 
 // No unsafe code in this crate, enforced by the compiler; the
 // workspace-wide unsafe audit lives in `softermax-analysis`.
 #![forbid(unsafe_code)]
+// Remotely reachable code: a malformed frame or a misbehaving peer
+// must surface as a typed error, never a panic. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use std::io::Write;
 use std::process::ExitCode;

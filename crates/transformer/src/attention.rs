@@ -232,9 +232,9 @@ pub const DEFAULT_TILE: usize = 64;
 /// returned as `(materialized, streamed)`: the materialized path stages
 /// the `seq x seq` score and probability matrices, while the streamed
 /// path holds one probability row, one score tile, and the session's own
-/// retained state ([`KernelDescriptor::stream_scratch_elems`]). The one
-/// definition the CLI demo and the stream-mode throughput harness both
-/// report, so published numbers cannot drift apart.
+/// retained state ([`KernelDescriptor::stream_scratch_elems`]). The
+/// `softermax attention --streaming` demo reports these, so the
+/// published scratch numbers have one definition.
 #[must_use]
 pub fn head_scratch_estimates(
     descriptor: &KernelDescriptor,

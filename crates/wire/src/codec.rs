@@ -237,9 +237,8 @@ pub fn read_frame_capped<R: Read>(r: &mut R, cap: u32) -> Result<Frame, FrameErr
 /// from "EOF mid-buffer" (truncation).
 fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     let mut read = 0;
-    while read < buf.len() {
-        // analysis:allow(panic-surface): `read < buf.len()` is the loop condition, so the range start is always in bounds
-        match r.read(&mut buf[read..]) {
+    while let Some(rest) = buf.get_mut(read..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => break,
             Ok(n) => read += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

@@ -83,6 +83,29 @@ fn any_submit() -> impl Strategy<Value = SubmitRequest> {
         })
 }
 
+/// A reader that hands out one byte per `read` and answers every other
+/// call with `ErrorKind::Interrupted`: the short reads and retries a
+/// socket may produce, which a slice reader never does.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    interrupt: bool,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.interrupt = !self.interrupt;
+        if self.interrupt {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let (Some(first), Some(slot)) = (self.bytes.first(), buf.first_mut()) else {
+            return Ok(0);
+        };
+        *slot = *first;
+        self.bytes = &self.bytes[1..];
+        Ok(1)
+    }
+}
+
 fn any_reply() -> impl Strategy<Value = SubmitReply> {
     (0u64..u64::MAX, vec(-32.0f64..32.0, 0..64), 1u64..10).prop_map(|(id, scores, code)| {
         let result = if code % 2 == 0 {
@@ -113,6 +136,16 @@ proptest! {
         let mut cursor = &bytes[..];
         let _ = read_frame(&mut cursor).expect("decodable");
         prop_assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
+
+        // Short reads and `Interrupted` retries decode the same frame,
+        // and a body cut short is still `Truncated`.
+        let trickled = read_frame(&mut Trickle { bytes: &bytes, interrupt: false });
+        prop_assert_eq!(&trickled.expect("decodable one byte at a time"), &frame);
+        let cut = &bytes[..bytes.len() - 1];
+        prop_assert!(matches!(
+            read_frame(&mut Trickle { bytes: cut, interrupt: false }),
+            Err(FrameError::Truncated)
+        ));
     }
 
     /// Any truncation of a valid frame is a typed error, never a panic
