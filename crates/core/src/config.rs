@@ -21,7 +21,10 @@ pub enum Base {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum MaxMode {
     /// Softermax integer max (`ceil`): renorm exponents are integers, so
-    /// renormalization hardware is a shifter.
+    /// renormalization hardware is a shifter — except at the max format's
+    /// top rail, where `ceil` saturates to a fractional value (`Q(6,2)`:
+    /// `ceil(31.75)` stays `31.75`). A difference against that max keeps a
+    /// fractional part, and renormalizing by it takes the LPW multiply.
     #[default]
     Integer,
     /// Exact (fractional) max, as in the original online softmax: the

@@ -109,6 +109,21 @@ impl Pow2Unit {
         }
     }
 
+    /// The unit's output raw for **every** raw input of `in_format`,
+    /// indexed by `raw - in_format.min_raw()`: a full-domain table the
+    /// fused pipeline looks `2^(x - max)` up in when the max format is
+    /// narrow (256 entries for the paper's `Q(6,2)`). Each entry is
+    /// [`Pow2Unit::eval_one_raw_fast`], so the table is bit-identical with
+    /// [`Pow2Unit::eval`] by construction; `softermax`'s plan tests check
+    /// it entry by entry anyway.
+    pub(crate) fn domain_table(&self, in_format: QFormat) -> Box<[i64]> {
+        let plan = self.table.plan(in_format);
+        let in_frac = in_format.frac_bits();
+        (in_format.min_raw()..=in_format.max_raw())
+            .map(|raw| self.eval_one_raw_fast(&plan, raw, in_frac))
+            .collect()
+    }
+
     /// Float model of the same datapath (quantized LUT entries, exact
     /// arithmetic), for error analysis.
     #[must_use]

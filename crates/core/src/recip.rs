@@ -152,16 +152,75 @@ pub(crate) struct ApplyPlan {
     mant_raw: i64,
     exponent: i32,
     out_format: QFormat,
+    /// Shifts of [`ApplyPlan::apply_one_i64`]: the exponent shift
+    /// (`up` for `exponent <= 0`, `down` otherwise) and the narrowing into
+    /// `out_format` (`out_up`, or `out_down` with its rounding `out_half`).
+    up: u32,
+    down: u32,
+    out_up: u32,
+    out_down: u32,
+    out_half: i64,
 }
 
 impl ApplyPlan {
     pub(crate) fn new(num_format: QFormat, r: Reciprocal, out_format: QFormat) -> Self {
-        let prod_frac = num_format.frac_bits() + r.mantissa.format().frac_bits();
+        let wide = wide_product_format(num_format, r.mantissa.format());
+        let (wide_frac, out_frac) = (wide.frac_bits(), out_format.frac_bits());
+        let out_down = wide_frac.saturating_sub(out_frac).min(63);
         Self {
-            wide: QFormat::unsigned((32u32).saturating_sub(prod_frac), prod_frac),
+            wide,
             mant_raw: r.mantissa.raw(),
             exponent: r.exponent,
             out_format,
+            up: r.exponent.saturating_neg().clamp(0, 63) as u32,
+            down: r.exponent.clamp(0, 63) as u32,
+            out_up: out_frac.saturating_sub(wide_frac).min(63),
+            out_down,
+            out_half: if out_down == 0 {
+                0
+            } else {
+                1 << (out_down - 1)
+            },
+        }
+    }
+
+    /// Whether [`ApplyPlan::apply_one_i64`] is exact for every numerator
+    /// of `num_format` and every reciprocal [`RecipUnit::reciprocal`]
+    /// returns for a sum in `pow_sum_format`, with mantissas in
+    /// `recip_format`.
+    ///
+    /// The exponent is at least `-pow_sum.frac_bits()`, so the largest
+    /// wide value is `num.max × mant.max << pow_sum.frac_bits()`. When
+    /// both operands are unsigned and that bound fits the wide format
+    /// (and the narrowing into `out_format` cannot overflow `i64`),
+    /// [`ApplyPlan::apply_one`] never saturates before its last step, and
+    /// its i128 arithmetic reduces to the i64 shifts of `apply_one_i64`.
+    pub(crate) fn exact_in_i64(
+        num_format: QFormat,
+        recip_format: QFormat,
+        pow_sum_format: QFormat,
+        out_format: QFormat,
+    ) -> bool {
+        // Past 32 product fraction bits there is no wide format at all.
+        if num_format.is_signed()
+            || recip_format.is_signed()
+            || num_format.frac_bits() + recip_format.frac_bits() > 32
+        {
+            return false;
+        }
+        let wide = wide_product_format(num_format, recip_format);
+        let (wide_frac, out_frac) = (wide.frac_bits(), out_format.frac_bits());
+        let Some(bound) = (num_format.max_raw() as i128)
+            .checked_mul(recip_format.max_raw() as i128)
+            .and_then(|p| p.checked_shl(pow_sum_format.frac_bits()))
+            .filter(|&b| b <= wide.max_raw() as i128 && b < 1 << 62)
+        else {
+            return false;
+        };
+        if out_frac >= wide_frac {
+            (bound << (out_frac - wide_frac).min(64)) < i64::MAX as i128
+        } else {
+            wide_frac - out_frac < 62
         }
     }
 
@@ -193,6 +252,24 @@ impl ApplyPlan {
         };
         self.out_format.saturate_raw(out_raw)
     }
+
+    /// [`ApplyPlan::apply_one`] in plain i64 shifts, with no saturation
+    /// before the last step: bit-identical for every numerator in
+    /// `0..=num_format.max_raw()` when [`ApplyPlan::exact_in_i64`] holds
+    /// for the formats the plan was built from.
+    #[inline(always)]
+    pub(crate) fn apply_one_i64(&self, num_raw: i64) -> i64 {
+        let shifted = (num_raw * self.mant_raw) << self.up >> self.down;
+        let out_raw = ((shifted << self.out_up) + self.out_half) >> self.out_down;
+        self.out_format.saturate_raw(out_raw)
+    }
+}
+
+/// The normalize multiplier's wide format: exactly the product's fraction
+/// bits, and 32 bits in all when they fit.
+fn wide_product_format(num_format: QFormat, mant_format: QFormat) -> QFormat {
+    let prod_frac = num_format.frac_bits() + mant_format.frac_bits();
+    QFormat::unsigned((32u32).saturating_sub(prod_frac), prod_frac)
 }
 
 /// Multiplies `num` by a [`Reciprocal`]: integer multiply into a wide

@@ -42,6 +42,61 @@ pub struct Softermax {
     wide_fmt: QFormat,
     /// Fraction-bit narrowing from unnormed lanes into `wide_fmt`.
     sum_shift: u32,
+    /// The exact shortcuts this configuration's formats allow.
+    plan: Plan,
+}
+
+/// Exact shortcuts compiled from a configuration's formats by
+/// [`Softermax::new`].
+///
+/// Each field lets one stage of the fused pipeline skip general code
+/// where the formats **prove** the shortcut gives the same bits; every
+/// other configuration runs the general code of that stage. The plan is
+/// chosen from the formats alone (no option selects it), and one-shot,
+/// batch and stream all run the same stages, so they cannot diverge.
+/// The `plan_*` unit tests below, and `vecops`' boundary test for stage
+/// 0, prove each shortcut over its whole domain.
+#[derive(Debug, Clone)]
+struct Plan {
+    /// Stage 0 is one round-to-nearest quantize into the input format:
+    /// base 2 has no pre-scale, and with equal fraction bits the
+    /// requantize into the max format is the identity, because
+    /// [`SoftermaxConfig::validate`] makes the max range cover the input
+    /// range.
+    direct_quantize: bool,
+    /// `2^d` for every raw `d` of the max format, indexed by
+    /// `d - max_format.min_raw()` (256 entries for the paper's `Q(6,2)`):
+    /// present when the max format has at most 16 bits.
+    pow2_lut: Option<Box<[i64]>>,
+    /// The slice sum cannot saturate: the unnormed format is unsigned, so
+    /// every term lies in `0..=unnormed.max_raw() >> sum_shift`, and
+    /// `slice_width` such terms fit the wide format (up to width 128 for
+    /// the paper config), so plain adds equal the saturating ones.
+    plain_sum: bool,
+    /// The Normalization multiply is exact in i64
+    /// ([`ApplyPlan::exact_in_i64`]).
+    i64_normalize: bool,
+}
+
+impl Plan {
+    fn new(config: &SoftermaxConfig, pow2: &Pow2Unit, wide_fmt: QFormat, sum_shift: u32) -> Self {
+        let max = config.max_format;
+        let unnormed = config.unnormed_format;
+        let max_term = i128::from(unnormed.max_raw() >> sum_shift);
+        Self {
+            direct_quantize: config.base == Base::Two
+                && config.input_format.frac_bits() == max.frac_bits(),
+            pow2_lut: (max.total_bits() <= 16).then(|| pow2.domain_table(max)),
+            plain_sum: !unnormed.is_signed()
+                && config.slice_width as i128 * max_term <= i128::from(wide_fmt.max_raw()),
+            i64_normalize: ApplyPlan::exact_in_i64(
+                unnormed,
+                config.recip_format,
+                config.pow_sum_format,
+                config.output_format,
+            ),
+        }
+    }
 }
 
 impl Softermax {
@@ -67,6 +122,7 @@ impl Softermax {
         );
         let wide_fmt = wide_sum_format(config.unnormed_format);
         let sum_shift = config.unnormed_format.frac_bits() - wide_fmt.frac_bits();
+        let plan = Plan::new(&config, &pow2, wide_fmt, sum_shift);
         Self {
             config,
             pow2,
@@ -74,6 +130,7 @@ impl Softermax {
             log2_e,
             wide_fmt,
             sum_shift,
+            plan,
         }
     }
 
@@ -143,13 +200,18 @@ impl Softermax {
     /// before the output pass. Pass 1 fuses quantization, the optional
     /// base-e pre-scale and the max-format requantization into one sweep
     /// (`vecops::fused_quantize_into`); pass 2 runs per hardware slice —
-    /// a fused ceil-and-max reduction, then a fused subtract → `2^x` →
+    /// a max reduction with one ceiling, then a fused subtract → `2^x` →
     /// wide-sum sweep that overwrites the lane buffer in place with the
     /// unnormed numerators. The Normalization unit then reads those lanes
     /// back once. Every per-element operation chains the identical
     /// fixed-point primitives of the scalar path, so the result is
     /// **bit-exact** with [`Softermax::forward`]; the property tests in
     /// `tests/vector_parity.rs` hold every configuration to that contract.
+    ///
+    /// Where the configuration's formats prove it exact, a stage takes a
+    /// compiled shortcut (see `Plan`): for the paper config stage 0 is a
+    /// bare round-to-nearest, `2^x` is a 256-entry table lookup, the
+    /// slice sum is plain adds, and the normalize multiply runs in i64.
     ///
     /// # Errors
     ///
@@ -232,8 +294,14 @@ impl Softermax {
     /// into **max-format** candidate lanes, one sweep over `values`
     /// (replacing `lanes`). Bit-exact with the scalar `from_f64` →
     /// [`Softermax::prescale`] → [`Softermax::max_candidate`] requantize
-    /// chain; the input-format lanes are never materialized.
+    /// chain; the input-format lanes are never materialized. When the plan
+    /// proves the pre-scale and requantize are identities, the sweep is a
+    /// bare round-to-nearest quantize.
     fn quantize_fused_lanes(&self, values: &[f64], lanes: &mut Vec<i64>) {
+        if self.plan.direct_quantize {
+            vecops::quantize_nearest_into(values, self.config.input_format, lanes);
+            return;
+        }
         vecops::fused_quantize_into(
             values,
             self.config.input_format,
@@ -246,43 +314,108 @@ impl Softermax {
 
     /// Fused stages 1–3 for **one hardware slice** of max-format candidate
     /// lanes, transformed **in place** into unnormed numerator lanes:
-    /// a fused ceil-and-max reduction (the IntMax unit; ceiled candidates
-    /// are never materialized), then one sweep fusing the max subtraction,
-    /// the Power-of-Two unit and the wide summation tree, then the
-    /// Reduction-unit merge. Returns the slice's reference max.
+    /// the IntMax unit (a plain max, then one ceiling: `ceil` is monotone,
+    /// so it commutes with `max`), then one sweep fusing the max
+    /// subtraction, the Power-of-Two unit and the wide summation tree,
+    /// then the Reduction-unit merge. Returns the slice's reference max.
     ///
-    /// Shared verbatim by the one-shot, batched and streaming datapaths,
-    /// so they cannot drift from each other; bit-exact with the scalar
-    /// [`SoftermaxAccumulator::push_slice`] per element.
+    /// Shared verbatim by the one-shot, batched and streaming datapaths
+    /// (through [`run_slices`]), so they cannot drift from each other;
+    /// bit-exact with the scalar [`SoftermaxAccumulator::push_slice`] per
+    /// element.
+    #[inline(always)]
     fn slice_pass(
         &self,
         lanes: &mut [i64],
-        plan: &LpwPlan<'_>,
-        running: &mut Option<(Fixed, Fixed)>,
+        lpw: &LpwPlan<'_>,
+        running: &mut Option<(i64, i64)>,
     ) -> i64 {
         let cfg = &self.config;
-        let local_max_raw = match cfg.max_mode {
-            MaxMode::Integer => {
-                vecops::max_reduce_ceil(lanes, cfg.max_format).expect("slice is non-empty")
-            }
-            MaxMode::Float => vecops::max_reduce(lanes).expect("slice is non-empty"),
+        let max_raw = vecops::max_reduce_inline(lanes).expect("slice is non-empty");
+        let local_max = match cfg.max_mode {
+            MaxMode::Integer => vecops::ceil_one_raw(max_raw, cfg.max_format),
+            MaxMode::Float => max_raw,
         };
-        let local_max = Fixed::from_raw_saturating(local_max_raw, cfg.max_format);
-
-        let local_sum_wide = fused_pow2_sum_pass(
-            lanes,
-            local_max_raw,
-            cfg.max_format,
-            &self.pow2,
-            plan,
-            self.sum_shift,
-            self.wide_fmt,
-        );
-        let local_sum = Fixed::from_raw_saturating(local_sum_wide, self.wide_fmt)
-            .requantize(cfg.pow_sum_format, Rounding::Nearest);
-
+        let wide_sum = match &self.plan.pow2_lut {
+            Some(lut) => {
+                let lo = cfg.max_format.min_raw();
+                self.fused_pow2_sum_pass(lanes, local_max, |d| lut[(d - lo) as usize])
+            }
+            None => {
+                let in_frac = cfg.max_format.frac_bits();
+                self.fused_pow2_sum_pass(lanes, local_max, |d| {
+                    self.pow2.eval_one_raw_fast(lpw, d, in_frac)
+                })
+            }
+        };
+        // `Fixed::requantize` from the wide format into the pow-sum
+        // format (round to nearest) on the raw encoding: a wide sum is
+        // non-negative with 8 integer bits, so i64 shifts are exact.
+        let (wide_frac, sum_frac) = (self.wide_fmt.frac_bits(), cfg.pow_sum_format.frac_bits());
+        let local_sum = cfg.pow_sum_format.saturate_raw(if sum_frac >= wide_frac {
+            wide_sum << (sum_frac - wide_frac)
+        } else {
+            let k = wide_frac - sum_frac;
+            (wide_sum + (1 << (k - 1))) >> k
+        });
         self.merge_running(running, local_max, local_sum);
-        local_max_raw
+        local_max
+    }
+
+    /// Pass 2 of the fused pipeline for one slice: rewrites max-format
+    /// candidate lanes **in place** as unnormed numerator lanes
+    /// `u_i = pow2(x_i - local_max)` and returns the slice's wide sum —
+    /// the subtract, Power-of-Two and summation-tree stages in a single
+    /// sweep. `pow2` is the plan's table lookup or the LPW evaluator.
+    ///
+    /// Per element this chains exactly the scalar primitives of
+    /// [`SoftermaxAccumulator::push_slice`]: a saturating max-format
+    /// subtraction, the Power-of-Two unit, and a floor-requantized
+    /// saturating add into the wide sum. The per-step saturation is
+    /// order-sensitive, so those adds stay sequential — unless the plan
+    /// proves no partial sum can saturate, when they are plain adds.
+    #[inline(always)]
+    fn fused_pow2_sum_pass(
+        &self,
+        lanes: &mut [i64],
+        local_max_raw: i64,
+        pow2: impl Fn(i64) -> i64,
+    ) -> i64 {
+        let max_format = self.config.max_format;
+        let (lo, hi) = (max_format.min_raw(), max_format.max_raw());
+        let (wide_fmt, sum_shift) = (self.wide_fmt, self.sum_shift);
+        let (wlo, whi) = (wide_fmt.min_raw(), wide_fmt.max_raw());
+        // Proven-plain adds accumulate lane-parallel in `lane_sums`;
+        // saturating adds stay in element order in `acc`. The tail takes
+        // the saturating form in both cases: under the proof it never
+        // saturates, so adding `lane_sums` to it afterwards is exact.
+        let mut lane_sums = [0i64; lane::LANES];
+        let mut acc = 0i64;
+        let mut chunks = lanes.chunks_exact_mut(lane::LANES);
+        for chunk in chunks.by_ref() {
+            let d = lane::sub_clamp(lane::load(chunk), local_max_raw, lo, hi);
+            let mut u = [0i64; lane::LANES];
+            for i in 0..lane::LANES {
+                u[i] = pow2(d[i]);
+            }
+            chunk.copy_from_slice(&u);
+            if self.plan.plain_sum {
+                for i in 0..lane::LANES {
+                    lane_sums[i] += u[i] >> sum_shift;
+                }
+            } else {
+                for t in lane::shr_clamp(u, sum_shift, wlo, whi) {
+                    acc = wide_fmt.saturate_raw(acc.saturating_add(t));
+                }
+            }
+        }
+        for x in chunks.into_remainder() {
+            let u = pow2(max_format.saturate_raw(x.saturating_sub(local_max_raw)));
+            *x = u;
+            let term = wide_fmt.saturate_raw(floor_shift(i128::from(u), sum_shift));
+            acc = wide_fmt.saturate_raw(acc.saturating_add(term));
+        }
+        acc + lane_sums.iter().sum::<i64>()
     }
 
     /// Fused stages 1–3 plus the Normalization unit for one row whose
@@ -297,107 +430,65 @@ impl Softermax {
         out: &mut [f64],
         scratch: &mut ScratchBuffers,
     ) -> Result<()> {
-        let mut running: Option<(Fixed, Fixed)> = None;
+        let mut running = None;
         scratch.runs.clear();
-        // Hoisted per row: the LPW segment-table plan for max-format inputs.
-        let plan = self.pow2.table().plan(self.config.max_format);
-
-        let mut start = 0;
-        while start < len {
-            let end = (start + self.config.slice_width).min(len);
-            let slice = &mut scratch.lanes_a[lane_start + start..lane_start + end];
-            let local_max_raw = self.slice_pass(slice, &plan, &mut running);
-            scratch.runs.push((local_max_raw, end));
-            start = end;
-        }
-
+        let lanes = &mut scratch.lanes_a[lane_start..lane_start + len];
+        run_slices(self, lanes, 0, &mut scratch.runs, &mut running);
         let (global_max, running_sum) = running.expect("row is non-empty");
-        self.normalization_pass(
-            &scratch.runs,
-            &scratch.lanes_a[lane_start..lane_start + len],
-            global_max,
-            running_sum,
-            out,
-        )
+        normalization_pass(self, &scratch.runs, lanes, global_max, running_sum, out)
     }
 
-    /// Stage 3 — the Reduction unit: merges one slice's `(max, sum)` into
-    /// the running row state, renormalizing whichever side has the smaller
-    /// max.
-    fn merge_running(
-        &self,
-        running: &mut Option<(Fixed, Fixed)>,
-        local_max: Fixed,
-        local_sum: Fixed,
-    ) {
-        match *running {
-            None => *running = Some((local_max, local_sum)),
+    /// Stage 3 — the Reduction unit: merges one slice's raw `(max, sum)`
+    /// into the running row state, renormalizing whichever side has the
+    /// smaller max. Bit-exact with the scalar merge in
+    /// [`SoftermaxAccumulator::push_slice`].
+    #[inline(always)]
+    fn merge_running(&self, running: &mut Option<(i64, i64)>, local_max: i64, local_sum: i64) {
+        *running = Some(match *running {
+            None => (local_max, local_sum),
             Some((prev_max, prev_sum)) => {
                 let new_max = prev_max.max(local_max);
-                let d_prev = new_max
-                    .saturating_sub(prev_max)
-                    .expect("max-format subtraction");
-                let d_local = new_max
-                    .saturating_sub(local_max)
-                    .expect("max-format subtraction");
-                let prev_renorm = self.renorm_down(prev_sum, d_prev);
-                let local_renorm = self.renorm_down(local_sum, d_local);
-                let new_sum = prev_renorm
-                    .saturating_add(local_renorm)
-                    .expect("pow-sum addition");
-                *running = Some((new_max, new_sum));
+                let prev = self.renorm_sum(prev_sum, self.max_diff(new_max, prev_max));
+                let local = self.renorm_sum(local_sum, self.max_diff(new_max, local_max));
+                let sum = self
+                    .config
+                    .pow_sum_format
+                    .saturate_raw(prev.saturating_add(local));
+                (new_max, sum)
+            }
+        });
+    }
+
+    /// `Fixed::saturating_sub` of two raw max-format encodings.
+    #[inline(always)]
+    fn max_diff(&self, a: i64, b: i64) -> i64 {
+        self.config.max_format.saturate_raw(a.saturating_sub(b))
+    }
+
+    /// [`Softermax::renorm_down`] of a raw pow-sum encoding by a raw
+    /// max-format exponent `d >= 0`: a bare shift when `d` is integral.
+    #[inline(always)]
+    fn renorm_sum(&self, v: i64, d: i64) -> i64 {
+        match self.integral_shift(d) {
+            Some(shift) => v >> shift,
+            None => {
+                let fmt = self.config.pow_sum_format;
+                let d = Fixed::from_raw_saturating(d, self.config.max_format);
+                self.renorm_down(Fixed::from_raw_saturating(v, fmt), d)
+                    .raw()
             }
         }
     }
 
-    /// The Normalization unit over a completed row: one reciprocal of the
-    /// accumulated sum, then per-slice hoisted renormalization plans and
-    /// reciprocal application over the retained unnormed numerator lanes.
-    fn normalization_pass(
-        &self,
-        runs: &[(i64, usize)],
-        unnormed_lanes: &[i64],
-        global_max: Fixed,
-        running_sum: Fixed,
-        out: &mut [f64],
-    ) -> Result<()> {
-        let cfg = &self.config;
-        let recip = self.recip.reciprocal(running_sum)?;
-        let plan = ApplyPlan::new(cfg.unnormed_format, recip, cfg.output_format);
-        let out_res = cfg.output_format.resolution();
-        let unnormed = cfg.unnormed_format;
-        let mut begin = 0;
-        for &(ref_max_raw, end) in runs {
-            let ref_max = Fixed::from_raw_saturating(ref_max_raw, cfg.max_format);
-            let d = global_max
-                .saturating_sub(ref_max)
-                .expect("max-format subtraction");
-            let (shift, factor) = self.renorm_plan(d);
-            let lanes = &unnormed_lanes[begin..end];
-            let outs = &mut out[begin..end];
-            // `floor_shift` is the bit-identical fast twin of
-            // `Rounding::Floor.apply_shift` — these run per output element.
-            match factor {
-                None => {
-                    for (o, &u) in outs.iter_mut().zip(lanes) {
-                        let numer = unnormed.saturate_raw(floor_shift(u as i128, shift));
-                        *o = plan.apply_one(numer) as f64 * out_res;
-                    }
-                }
-                Some(f) => {
-                    let f_raw = f.raw();
-                    let f_shift = f.format().frac_bits();
-                    for (o, &u) in outs.iter_mut().zip(lanes) {
-                        let shifted = unnormed.saturate_raw(floor_shift(u as i128, shift));
-                        let prod = shifted as i128 * f_raw as i128;
-                        let numer = unnormed.saturate_raw(floor_shift(prod, f_shift));
-                        *o = plan.apply_one(numer) as f64 * out_res;
-                    }
-                }
-            }
-            begin = end;
-        }
-        Ok(())
+    /// The right shift `2^-d` reduces to when the raw max-format exponent
+    /// `d >= 0` has no fraction bits, or `None` when it needs the LPW
+    /// factor of [`Softermax::renorm_plan`]. The shift is capped at 63:
+    /// flooring an `i64` by `2^63` or more leaves only its sign, exactly
+    /// as [`Fixed::shr`] does for shifts up to 127.
+    #[inline(always)]
+    fn integral_shift(&self, d: i64) -> Option<u32> {
+        let frac = self.config.max_format.frac_bits();
+        (d.trailing_zeros() >= frac).then(|| (d >> frac).clamp(0, 63) as u32)
     }
 
     /// Starts a reusable chunk-streaming session over the vectorized
@@ -433,10 +524,12 @@ impl Softermax {
         }
     }
 
-    /// Renormalizes `v` by `2^-d` for `d >= 0`. Under the integer max this
-    /// is a single right shift; under the float-max ablation the fractional
-    /// part needs an extra LPW lookup and multiply (the hardware cost the
-    /// paper's co-design removes).
+    /// Renormalizes `v` by `2^-d` for `d >= 0`. An integral `d` is a single
+    /// right shift; a fractional part needs an extra LPW lookup and
+    /// multiply (the hardware cost the paper's co-design removes). Under
+    /// the float-max ablation most differences are fractional; under the
+    /// integer max only those against a max saturated at the top rail are
+    /// (`ceil(31.75)` saturates to `31.75` in `Q(6,2)`).
     fn renorm_down(&self, v: Fixed, d: Fixed) -> Fixed {
         let (shift, factor) = self.renorm_plan(d);
         apply_renorm(v, shift, factor)
@@ -444,8 +537,10 @@ impl Softermax {
 
     /// Decomposes a renormalization exponent `d >= 0` into the datapath's
     /// two stages: a right shift by `floor(d)` and, when `d` has a
-    /// fractional part (float-max ablation only), a multiply by
-    /// `2^-frac(d) ∈ (0.5, 1)` from the Power-of-Two unit.
+    /// fractional part, a multiply by `2^-frac(d) ∈ (0.5, 1)` from the
+    /// Power-of-Two unit. Fractional parts are the norm under the
+    /// float-max ablation; under the integer max they arise only from a
+    /// slice whose ceiled max saturated at the max format's top rail.
     ///
     /// The plan depends only on `d`, so a whole slice sharing one reference
     /// max is renormalized with one plan — the hoisting the vectorized
@@ -684,8 +779,8 @@ pub struct SoftermaxStream<'a> {
     unnormed: Vec<i64>,
     /// Per-slice `(reference max raw, end index)` runs.
     runs: Vec<(i64, usize)>,
-    /// Running `(max, renormalized sum)` of the Reduction unit.
-    running: Option<(Fixed, Fixed)>,
+    /// Running raw `(max, renormalized sum)` of the Reduction unit.
+    running: Option<(i64, i64)>,
 }
 
 impl SoftermaxStream<'_> {
@@ -713,26 +808,21 @@ impl SoftermaxStream<'_> {
         self.count == 0
     }
 
-    /// Fused stages 1–3 for one completed slice of max-format candidate
-    /// lanes: the candidates are appended to the retained row buffer and
-    /// transformed **in place** into unnormed numerators by the shared
-    /// [`Softermax::slice_pass`], recording the run boundary.
-    fn process_slice(&mut self, xs: &[i64]) {
-        let begin = self.unnormed.len();
-        self.unnormed.extend_from_slice(xs);
-        let plan = self.sm.pow2.table().plan(self.sm.config.max_format);
-        let local_max_raw =
-            self.sm
-                .slice_pass(&mut self.unnormed[begin..], &plan, &mut self.running);
-        self.runs.push((local_max_raw, self.unnormed.len()));
+    /// Runs the fused slice stages over the candidate lanes appended to
+    /// the retained row buffer since `begin` (whole slices, or the row's
+    /// tail at finish), rewriting them in place as unnormed numerators.
+    fn process_from(&mut self, begin: usize) {
+        if begin < self.unnormed.len() {
+            let lanes = &mut self.unnormed[begin..];
+            run_slices(self.sm, lanes, begin, &mut self.runs, &mut self.running);
+        }
     }
 
     /// Absorbs a chunk of scores: runs the fused stage-0 sweep (quantize →
-    /// optional pre-scale → max-format candidates) and the fused slice
-    /// pipeline over every hardware slice completed so far — full slices
-    /// are consumed straight out of the staging buffer, so only a
-    /// sub-slice tail is ever retained as candidate lanes. An empty chunk
-    /// is a no-op.
+    /// optional pre-scale → max-format candidates), appends every hardware
+    /// slice completed so far to the retained row buffer and runs the
+    /// fused slice pipeline over them in one call — only a sub-slice tail
+    /// is ever held back as candidate lanes. An empty chunk is a no-op.
     pub fn push_chunk(&mut self, chunk: &[f64]) {
         if chunk.is_empty() {
             return;
@@ -741,6 +831,7 @@ impl SoftermaxStream<'_> {
         self.sm.quantize_fused_lanes(chunk, &mut stage);
         self.count += chunk.len();
         let width = self.sm.config.slice_width;
+        let begin = self.unnormed.len();
         let mut xs: &[i64] = &stage;
         if !self.pending.is_empty() {
             let take = (width - self.pending.len()).min(xs.len());
@@ -748,18 +839,14 @@ impl SoftermaxStream<'_> {
             self.pending.extend_from_slice(head);
             xs = rest;
             if self.pending.len() == width {
-                let pending = std::mem::take(&mut self.pending);
-                self.process_slice(&pending);
-                self.pending = pending;
+                self.unnormed.extend_from_slice(&self.pending);
                 self.pending.clear();
             }
         }
-        while xs.len() >= width {
-            let (slice, rest) = xs.split_at(width);
-            self.process_slice(slice);
-            xs = rest;
-        }
-        self.pending.extend_from_slice(xs);
+        let (full, tail) = xs.split_at(xs.len() - xs.len() % width);
+        self.unnormed.extend_from_slice(full);
+        self.pending.extend_from_slice(tail);
+        self.process_from(begin);
         self.stage = stage;
     }
 
@@ -779,64 +866,115 @@ impl SoftermaxStream<'_> {
     /// Panics if `out.len() != self.len()`.
     pub fn finish_into(&mut self, out: &mut [f64]) -> Result<()> {
         assert_eq!(out.len(), self.count, "output buffer length mismatch");
-        if !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
-            self.process_slice(&pending);
-            self.pending = pending;
-            self.pending.clear();
-        }
+        let begin = self.unnormed.len();
+        self.unnormed.extend_from_slice(&self.pending);
+        self.pending.clear();
+        self.process_from(begin);
         let (global_max, running_sum) = self.running.ok_or(SoftmaxError::EmptyInput)?;
-        self.sm
-            .normalization_pass(&self.runs, &self.unnormed, global_max, running_sum, out)
+        normalization_pass(
+            self.sm,
+            &self.runs,
+            &self.unnormed,
+            global_max,
+            running_sum,
+            out,
+        )
     }
 }
 
 softermax_fixed::lane_envelope! {
-    /// Pass 2 of the fused pipeline for one slice: rewrites max-format
-    /// candidate lanes **in place** as unnormed numerator lanes
-    /// `u_i = 2^(x_i - local_max)` and returns the slice's wide running
-    /// sum — the subtract, Power-of-Two and summation-tree stages in a
-    /// single sweep.
-    ///
-    /// Per element this chains exactly the scalar primitives of
-    /// [`SoftermaxAccumulator::push_slice`]: a saturating max-format
-    /// subtraction, the Power-of-Two unit (`Pow2Unit::eval_one_raw`, via
-    /// its fast bit-identical twin), and a floor-requantized saturating
-    /// add into the wide sum — the per-step saturation of the summation
-    /// tree is order-sensitive, so the adds stay sequential while the
-    /// subtract and term staging run as lane blocks.
-    fn fused_pow2_sum_pass(
+    /// Fused stages 1–3 ([`Softermax::slice_pass`]) over every hardware
+    /// slice of `lanes` in order, the last one possibly short: the lanes
+    /// become unnormed numerators in place, each slice's
+    /// `(reference max, offset + end)` run is pushed onto `runs` and its
+    /// `(max, sum)` is merged into `running`. One lane-path dispatch per
+    /// call — per row, or per pushed chunk — not per slice.
+    fn run_slices(
+        sm: &Softermax,
         lanes: &mut [i64],
-        local_max_raw: i64,
-        max_format: QFormat,
-        pow2: &Pow2Unit,
-        plan: &LpwPlan<'_>,
-        sum_shift: u32,
-        wide_fmt: QFormat,
-    ) -> i64 {
-        let in_frac = max_format.frac_bits();
-        let (lo, hi) = (max_format.min_raw(), max_format.max_raw());
-        let (wlo, whi) = (wide_fmt.min_raw(), wide_fmt.max_raw());
-        let mut acc = 0i64;
-        let mut chunks = lanes.chunks_exact_mut(lane::LANES);
-        for chunk in chunks.by_ref() {
-            let d = lane::sub_clamp(lane::load(chunk), local_max_raw, lo, hi);
-            let u: lane::Block =
-                std::array::from_fn(|i| pow2.eval_one_raw_fast(plan, d[i], in_frac));
-            chunk.copy_from_slice(&u);
-            let terms = lane::shr_clamp(u, sum_shift, wlo, whi);
-            for t in terms {
-                acc = wide_fmt.saturate_raw(acc.saturating_add(t));
+        offset: usize,
+        runs: &mut Vec<(i64, usize)>,
+        running: &mut Option<(i64, i64)>,
+    ) {
+        let lpw = sm.pow2.table().plan(sm.config.max_format);
+        let mut end = offset;
+        for slice in lanes.chunks_mut(sm.config.slice_width) {
+            let local_max = sm.slice_pass(slice, &lpw, running);
+            end += slice.len();
+            runs.push((local_max, end));
+        }
+    }
+}
+
+softermax_fixed::lane_envelope! {
+    /// The Normalization unit over a completed row: one reciprocal of the
+    /// accumulated raw pow sum, then per slice run one renormalization
+    /// (a bare shift for an integral max difference, else the LPW factor)
+    /// and the reciprocal multiply over the retained unnormed numerator
+    /// lanes. The multiply runs in i64 when the plan proves it exact.
+    fn normalization_pass(
+        sm: &Softermax,
+        runs: &[(i64, usize)],
+        unnormed_lanes: &[i64],
+        global_max: i64,
+        running_sum: i64,
+        out: &mut [f64],
+    ) -> Result<()> {
+        let cfg = &sm.config;
+        let recip = sm
+            .recip
+            .reciprocal(Fixed::from_raw_saturating(running_sum, cfg.pow_sum_format))?;
+        let apply = ApplyPlan::new(cfg.unnormed_format, recip, cfg.output_format);
+        let i64_ok = sm.plan.i64_normalize;
+        let out_res = cfg.output_format.resolution();
+        let unnormed = cfg.unnormed_format;
+        let mut begin = 0;
+        for &(ref_max, end) in runs {
+            let lanes = &unnormed_lanes[begin..end];
+            let outs = &mut out[begin..end];
+            let d = sm.max_diff(global_max, ref_max);
+            match sm.integral_shift(d) {
+                Some(shift) => write_probs(lanes, outs, |u| u >> shift, &apply, i64_ok, out_res),
+                None => {
+                    let d = Fixed::from_raw_saturating(d, cfg.max_format);
+                    let (shift, factor) = sm.renorm_plan(d);
+                    let f = factor.expect("a fractional exponent has an LPW factor");
+                    let (f_raw, f_shift) = (i128::from(f.raw()), f.format().frac_bits());
+                    let numer = |u: i64| {
+                        let shifted = unnormed.saturate_raw(floor_shift(i128::from(u), shift));
+                        unnormed.saturate_raw(floor_shift(i128::from(shifted) * f_raw, f_shift))
+                    };
+                    write_probs(lanes, outs, numer, &apply, i64_ok, out_res);
+                }
             }
+            begin = end;
         }
-        for x in chunks.into_remainder() {
-            let d = max_format.saturate_raw(x.saturating_sub(local_max_raw));
-            let u = pow2.eval_one_raw_fast(plan, d, in_frac);
-            *x = u;
-            let term = wide_fmt.saturate_raw(floor_shift(u as i128, sum_shift));
-            acc = wide_fmt.saturate_raw(acc.saturating_add(term));
+        Ok(())
+    }
+}
+
+/// The output pass over one slice run: renormalize each numerator with
+/// `numer`, multiply by the reciprocal, dequantize. `i64_ok` selects
+/// [`ApplyPlan::apply_one_i64`], which the plan proved bit-identical.
+#[inline(always)]
+fn write_probs(
+    lanes: &[i64],
+    outs: &mut [f64],
+    numer: impl Fn(i64) -> i64,
+    apply: &ApplyPlan,
+    i64_ok: bool,
+    out_res: f64,
+) {
+    // Output raws have at most 32 bits, so the vectorizable exact
+    // conversion equals `as f64`.
+    if i64_ok {
+        for (o, &u) in outs.iter_mut().zip(lanes) {
+            *o = lane::i64_to_f64_exact(apply.apply_one_i64(numer(u))) * out_res;
         }
-        acc
+    } else {
+        for (o, &u) in outs.iter_mut().zip(lanes) {
+            *o = lane::i64_to_f64_exact(apply.apply_one(numer(u))) * out_res;
+        }
     }
 }
 
@@ -865,6 +1003,138 @@ mod tests {
 
     fn paper_sm() -> Softermax {
         Softermax::new(SoftermaxConfig::paper())
+    }
+
+    /// The format sets the plan proofs sweep: the paper's Table I, the
+    /// ablation sets of `tests/vector_parity.rs`, and a 16-bit max format
+    /// (the widest that still gets a pow2 table).
+    fn plan_format_sets() -> Vec<SoftermaxConfig> {
+        let b = SoftermaxConfig::builder;
+        vec![
+            SoftermaxConfig::paper(),
+            b().input_format(QFormat::signed(5, 3))
+                .max_format(QFormat::signed(6, 3))
+                .unnormed_format(QFormat::unsigned(2, 12))
+                .pow_sum_format(QFormat::unsigned(8, 8))
+                .recip_format(QFormat::unsigned(1, 9))
+                .output_format(QFormat::unsigned(1, 9))
+                .build()
+                .unwrap(),
+            b().input_format(QFormat::signed(8, 0))
+                .max_format(QFormat::signed(8, 0))
+                .pow_sum_format(QFormat::unsigned(12, 4))
+                .output_format(QFormat::unsigned(2, 6))
+                .build()
+                .unwrap(),
+            b().input_format(QFormat::signed(8, 8))
+                .max_format(QFormat::signed(8, 8))
+                .build()
+                .unwrap(),
+        ]
+    }
+
+    #[test]
+    fn plan_selection_follows_the_formats() {
+        let paper = paper_sm();
+        assert!(paper.plan.direct_quantize);
+        assert_eq!(paper.plan.pow2_lut.as_ref().map(|t| t.len()), Some(256));
+        assert!(paper.plan.plain_sum);
+        assert!(paper.plan.i64_normalize);
+
+        let with = |b: crate::config::SoftermaxConfigBuilder| Softermax::new(b.build().unwrap());
+        let b = SoftermaxConfig::builder;
+        // Base e pre-scales; a finer max grid requantizes.
+        assert!(!with(b().base(Base::E)).plan.direct_quantize);
+        assert!(
+            !with(b().max_format(QFormat::signed(6, 3)))
+                .plan
+                .direct_quantize
+        );
+        // A 20-bit max format gets no table.
+        let wide_max = with(b().max_format(QFormat::signed(8, 12)));
+        assert!(wide_max.plan.pow2_lut.is_none());
+        // 128 terms of at most 65535 fit the wide sum's 2^23 - 1; 129 do not.
+        assert!(with(b().slice_width(128)).plan.plain_sum);
+        assert!(!with(b().slice_width(129)).plan.plain_sum);
+        // A 16-bit mantissa lets the wide product saturate.
+        assert!(
+            !with(b().recip_format(QFormat::unsigned(1, 15)))
+                .plan
+                .i64_normalize
+        );
+    }
+
+    /// Proof (a): the pow2 table equals `Pow2Unit::eval` at every raw
+    /// value of the max format, for every format set and segment count.
+    #[test]
+    fn plan_pow2_table_matches_pow2_unit_on_whole_max_domain() {
+        for cfg in plan_format_sets() {
+            for segments in [2, 4, 16] {
+                let mut cfg = cfg.clone();
+                cfg.pow2_segments = segments;
+                let sm = Softermax::new(cfg);
+                let fmt = sm.config.max_format;
+                let lut = sm
+                    .plan
+                    .pow2_lut
+                    .as_ref()
+                    .expect("format set has <= 16 bits");
+                assert_eq!(lut.len() as i64, fmt.max_raw() - fmt.min_raw() + 1);
+                for (raw, &u) in (fmt.min_raw()..=fmt.max_raw()).zip(lut.iter()) {
+                    let want = sm.pow2.eval(Fixed::from_raw_saturating(raw, fmt)).raw();
+                    assert_eq!(u, want, "{fmt} segments {segments} raw {raw}");
+                }
+            }
+        }
+    }
+
+    /// Proof (b): the i64 normalize equals `apply_reciprocal` for every
+    /// `(mantissa, exponent)` pair the reciprocal unit yields on the whole
+    /// pow-sum domain, times every numerator the datapath can produce —
+    /// each table entry renormalized by every max-format exponent
+    /// `d >= 0`, integral (a shift) or fractional (shift and LPW factor).
+    #[test]
+    fn plan_i64_normalize_matches_apply_reciprocal_on_reachable_domain() {
+        for cfg in plan_format_sets().into_iter().take(3) {
+            let sm = Softermax::new(cfg);
+            let cfg = &sm.config;
+            assert!(sm.plan.i64_normalize, "{cfg:?}");
+            let lut = sm.plan.pow2_lut.as_ref().expect("format set has a table");
+            let mut numerators = std::collections::BTreeSet::new();
+            for d in 0..=cfg.max_format.max_raw() {
+                let d = Fixed::from_raw_saturating(d, cfg.max_format);
+                for &u in lut.iter() {
+                    let u = Fixed::from_raw_saturating(u, cfg.unnormed_format);
+                    numerators.insert(sm.renorm_down(u, d));
+                }
+            }
+            let mut pairs = std::collections::BTreeSet::new();
+            for raw in 1..=cfg.pow_sum_format.max_raw() {
+                let r = sm
+                    .recip
+                    .reciprocal(Fixed::from_raw_saturating(raw, cfg.pow_sum_format))
+                    .unwrap();
+                pairs.insert((r.mantissa.raw(), r.exponent));
+            }
+            if *cfg == SoftermaxConfig::paper() {
+                assert_eq!(pairs.len(), 701);
+            }
+            for &(mant, exponent) in &pairs {
+                let r = Reciprocal {
+                    mantissa: Fixed::from_raw_saturating(mant, cfg.recip_format),
+                    exponent,
+                };
+                let plan = ApplyPlan::new(cfg.unnormed_format, r, cfg.output_format);
+                for &n in &numerators {
+                    assert_eq!(
+                        plan.apply_one_i64(n.raw()),
+                        apply_reciprocal(n, r, cfg.output_format).raw(),
+                        "mantissa {mant} exponent {exponent} numerator {}",
+                        n.raw()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

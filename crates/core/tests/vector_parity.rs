@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use softermax::kernel::{KernelRegistry, ScratchBuffers};
 use softermax::{Base, MaxMode, Softermax, SoftermaxConfig};
-use softermax_fixed::QFormat;
+use softermax_fixed::{Fixed, QFormat, Rounding};
 
 /// Attention-score rows, spilling past the Q(6,2) rails on both sides so
 /// input saturation is exercised, with lengths that straddle slice and
@@ -21,17 +21,29 @@ fn arb_row() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-40.0f64..40.0, 1..80)
 }
 
-/// Softermax configurations covering the paper's Table I (set 0) plus two
-/// ablation format sets, both max modes, both bases, and segment/slice
-/// sweeps (slice width 1 and 3 force degenerate and tail slices).
+/// Softermax configurations covering the paper's Table I (set 0) plus
+/// three ablation format sets, both max modes, both bases, and
+/// segment/slice sweeps (slice width 1 and 3 force degenerate and tail
+/// slices).
+///
+/// Both sides of every compiled-plan selection are drawn: base e runs the
+/// general stage 0; set 3's 20-bit max format gets no pow2 table; slice
+/// width 256 breaks the plain-sum proof, so the saturating sum runs.
 fn arb_config() -> impl Strategy<Value = SoftermaxConfig> {
     (
-        prop_oneof![Just(1usize), Just(3), Just(4), Just(16), Just(64)],
+        prop_oneof![
+            Just(1usize),
+            Just(3),
+            Just(4),
+            Just(16),
+            Just(64),
+            Just(256)
+        ],
         prop_oneof![Just(2usize), Just(4), Just(16)],
         prop_oneof![Just(4usize), Just(8)],
         prop_oneof![Just(MaxMode::Integer), Just(MaxMode::Float)],
         prop_oneof![Just(Base::Two), Just(Base::E)],
-        prop_oneof![Just(0usize), Just(1), Just(2)],
+        prop_oneof![Just(0usize), Just(1), Just(2), Just(3)],
     )
         .prop_map(
             |(width, pow2_segs, recip_segs, max_mode, base, format_set)| {
@@ -53,13 +65,17 @@ fn arb_config() -> impl Strategy<Value = SoftermaxConfig> {
                         .recip_format(QFormat::unsigned(1, 9))
                         .output_format(QFormat::unsigned(1, 9)),
                     // Integer-only input (no fraction bits at all).
-                    _ => builder
+                    2 => builder
                         .input_format(QFormat::signed(8, 0))
                         .max_format(QFormat::signed(8, 0))
                         .unnormed_format(QFormat::unsigned(1, 15))
                         .pow_sum_format(QFormat::unsigned(12, 4))
                         .recip_format(QFormat::unsigned(1, 7))
                         .output_format(QFormat::unsigned(2, 6)),
+                    // A 20-bit max format: no pow2 table, LPW evaluation.
+                    _ => builder
+                        .input_format(QFormat::signed(6, 4))
+                        .max_format(QFormat::signed(8, 12)),
                 };
                 builder.build().expect("ablation config is valid")
             },
@@ -232,4 +248,65 @@ fn forward_into_rejects_mismatched_buffer() {
     let kernel = KernelRegistry::global().get("softermax").expect("built-in");
     let mut out = vec![0.0; 2];
     let _ = kernel.forward_into(&[1.0, 2.0, 3.0], &mut out, &mut ScratchBuffers::default());
+}
+
+/// In Integer mode a slice holding `31.75` has max raw 127: `ceil(31.75)`
+/// saturates to `Q(6,2)`'s top rail. Its difference from a slice with an
+/// integral max (30.0) is fractional, so renormalization takes the LPW
+/// multiply, not the shifter. Every datapath must still match `forward`.
+#[test]
+fn top_rail_max_renormalizes_through_the_lpw_factor() {
+    let sm = Softermax::new(SoftermaxConfig::paper());
+    let mut row: Vec<f64> = (0..16).map(|i| 30.0 - f64::from(i) * 0.5).collect();
+    row.extend((0..16).map(|i| 31.75 - f64::from(i) * 0.75));
+    let want = sm.forward(&row).expect("non-empty row");
+    let mut scratch = ScratchBuffers::default();
+    let mut got = vec![0.0; row.len()];
+    sm.forward_into(&row, &mut got, &mut scratch)
+        .expect("non-empty row");
+    assert_bits_equal(&got, &want, "forward_into");
+    let doubled: Vec<f64> = row.iter().chain(&row).copied().collect();
+    let mut batch = vec![0.0; doubled.len()];
+    sm.forward_batch_into(&doubled, row.len(), &mut batch, &mut scratch)
+        .expect("non-empty rows");
+    assert_bits_equal(&batch[..row.len()], &want, "batch row 0");
+    assert_bits_equal(&batch[row.len()..], &want, "batch row 1");
+    for chunk in [1, 5, 16, 32] {
+        let mut session = sm.stream();
+        session.reset(row.len());
+        for piece in row.chunks(chunk) {
+            session.push_chunk(piece);
+        }
+        let mut streamed = vec![0.0; row.len()];
+        session.finish_into(&mut streamed).expect("non-empty row");
+        assert_bits_equal(&streamed, &want, "stream");
+    }
+    // The row max is the saturated 31.75 (raw 127), so the first slice's
+    // max, 30.0 (raw 120), sits a fractional 1.75 below it.
+    let out = sm
+        .forward_fixed(
+            &row.iter()
+                .map(|&v| Fixed::from_f64(v, sm.config().input_format, Rounding::Nearest))
+                .collect::<Vec<_>>(),
+        )
+        .expect("non-empty row");
+    assert_eq!(out.global_max.raw(), 127);
+}
+
+/// A 512-wide slice of equal scores sums 512 terms of 1.0, far past the
+/// wide sum's rail (just under 256.0): the plan must keep the saturating
+/// adds there, or the power sum and every probability change.
+#[test]
+fn saturating_slice_sum_matches_the_spec() {
+    let cfg = SoftermaxConfig::builder()
+        .slice_width(512)
+        .build()
+        .expect("valid");
+    let sm = Softermax::new(cfg);
+    let row = vec![3.0; 512];
+    let want = sm.forward(&row).expect("non-empty row");
+    let mut got = vec![0.0; row.len()];
+    sm.forward_into(&row, &mut got, &mut ScratchBuffers::default())
+        .expect("non-empty row");
+    assert_bits_equal(&got, &want, "forward_into");
 }

@@ -299,6 +299,28 @@ pub fn to_f64_scaled(a: Block, res: f64, out: &mut [f64]) {
     }
 }
 
+/// `1.5 · 2^52`: adding it to an integral `f64` below `2^51` in magnitude
+/// places the integer, exactly, in the low mantissa bits.
+const INT_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// `x as i64` for an integral `x` with `|x| < 2^51`, in two lane-wise
+/// instructions (add the magic constant, subtract its bits). A plain `as`
+/// cast has no packed form below AVX-512DQ, so it would not vectorize.
+#[inline(always)]
+#[must_use]
+pub fn f64_to_i64_exact(x: f64) -> i64 {
+    (x + INT_MAGIC).to_bits() as i64 - INT_MAGIC.to_bits() as i64
+}
+
+/// `x as f64` for `|x| < 2^51` (every raw encoding of a format of at most
+/// 32 bits), in two lane-wise instructions: the inverse of
+/// [`f64_to_i64_exact`], for the same reason.
+#[inline(always)]
+#[must_use]
+pub fn i64_to_f64_exact(x: i64) -> f64 {
+    f64::from_bits((x + INT_MAGIC.to_bits() as i64) as u64) - INT_MAGIC
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,6 +346,16 @@ mod tests {
         for i in 0..LANES {
             assert_eq!(out[i].to_bits(), (a[i] as f64 * 0.25).to_bits());
         }
+    }
+
+    #[test]
+    fn exact_conversions_match_casts_below_2_pow_51() {
+        let edge = (1i64 << 51) - 1;
+        for x in [0, 1, -1, 127, -128, 65_535, -(1 << 31), edge, -edge] {
+            assert_eq!(i64_to_f64_exact(x).to_bits(), (x as f64).to_bits(), "{x}");
+            assert_eq!(f64_to_i64_exact(x as f64), x, "{x}");
+        }
+        assert_eq!(f64_to_i64_exact(-0.0), 0);
     }
 
     // One test covers selection, forcing, and restoration: the dispatch

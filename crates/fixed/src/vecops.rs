@@ -6,11 +6,12 @@
 //! * **`Fixed`-level** conversions ([`quantize_slice`], [`dequantize_slice`],
 //!   [`requantize_slice`] and their allocation-free `_into` variants) for
 //!   callers that want format-carrying values;
-//! * **raw-lane** operations ([`fused_quantize_into`], [`dequantize_raw`],
-//!   [`max_reduce`], [`max_reduce_ceil`]) on bare `i64` encodings that all
-//!   share one [`QFormat`], carried by the caller. This is the layout a SIMD datapath
-//!   wants: a dense `&[i64]` of lanes plus one format descriptor, instead of
-//!   an array of `(raw, format)` structs.
+//! * **raw-lane** operations ([`fused_quantize_into`],
+//!   [`quantize_nearest_into`], [`dequantize_raw`], [`max_reduce`]) on bare
+//!   `i64` encodings that all share one [`QFormat`], carried by the
+//!   caller. This is the layout a SIMD datapath wants: a dense `&[i64]` of
+//!   lanes plus one format descriptor, instead of an array of
+//!   `(raw, format)` structs.
 //!
 //! Every raw operation processes [`LANES`]-wide blocks from the
 //! [`crate::lane`] layer with a scalar tail: with the `portable-simd`
@@ -175,54 +176,57 @@ lane_envelope! {
     /// this matches a fold over [`Fixed::max`].
     #[must_use]
     pub fn max_reduce(raws: &[i64]) -> Option<i64> {
-        if raws.is_empty() {
-            return None;
-        }
-        let mut chunks = raws.chunks_exact(LANES);
-        let mut acc: lane::Block = [i64::MIN; LANES];
-        for chunk in chunks.by_ref() {
-            acc = lane::max(acc, lane::load(chunk));
-        }
-        let mut best = lane::hmax(acc);
-        for &r in chunks.remainder() {
-            best = best.max(r);
-        }
-        Some(best)
+        max_reduce_inline(raws)
     }
 }
 
-/// One lane of [`max_reduce_ceil`]; bit-exact with [`Fixed::ceil`] on a
-/// raw encoding in `format` (the IntMax unit's elementwise operation).
+/// [`max_reduce`] without its lane-path dispatch, for a loop that already
+/// runs inside a [`lane_envelope!`] clone (such as the Softermax slice
+/// loop, which reduces one 16-lane slice at a time and would otherwise pay
+/// a dispatch per slice). LLVM vectorizes the fold at the caller's width.
+#[inline(always)]
+#[must_use]
+pub fn max_reduce_inline(raws: &[i64]) -> Option<i64> {
+    raws.iter().copied().reduce(i64::max)
+}
+
+/// [`Fixed::ceil`] on one raw encoding in `format` (the IntMax unit's
+/// elementwise operation), bit-exact.
+///
+/// It is monotone non-decreasing in `raw`, so it commutes with `max`:
+/// the IntMax unit's slice result is `ceil_one_raw(max_reduce(raws))`,
+/// one ceiling per slice instead of one per lane.
 #[inline(always)]
 #[must_use]
 pub fn ceil_one_raw(raw: i64, format: QFormat) -> i64 {
+    // `ceil(raw / 2^f) · 2^f` in i64, exact for every encoding of a
+    // format of at most 32 bits; the saturating add only keeps an
+    // out-of-format `raw` from overflowing.
     let frac = format.frac_bits();
-    let int_steps = crate::ceil_shift(raw as i128, frac);
-    format.saturate_raw(int_steps.saturating_mul(1i64 << frac))
+    let mask = (1i64 << frac) - 1;
+    format.saturate_raw((raw.saturating_add(mask) >> frac) << frac)
 }
 
 lane_envelope! {
-    /// Maximum of the [`Fixed::ceil`]ed lane encodings (`None` when
-    /// empty): the IntMax unit's slice reduction, fused so the ceiled
-    /// candidates are never materialized. Bit-exact with mapping
-    /// [`Fixed::ceil`] over the lanes and folding [`Fixed::max`].
-    #[must_use]
-    pub fn max_reduce_ceil(raws: &[i64], format: QFormat) -> Option<i64> {
-        if raws.is_empty() {
-            return None;
+    /// Round-to-nearest quantization into `format`, appended to `out`
+    /// (cleared first): one multiply, one `round` and one clamp per
+    /// element. Bit-exact with [`Fixed::from_f64`] with
+    /// [`Rounding::Nearest`], including its rails — NaN and `+inf` map to
+    /// `format.max_raw()`, `-inf` to `format.min_raw()`.
+    pub fn quantize_nearest_into(values: &[f64], format: QFormat, out: &mut Vec<i64>) {
+        // Size, then overwrite: an `extend` over a `map` adapter is not
+        // reliably inlined into the envelope's clones, and then `round`
+        // and the clamp run at baseline width.
+        out.clear();
+        out.resize(values.len(), 0);
+        let inv_res = res_recip(format);
+        // Formats have at most 32 bits, so both rails are exact in f64.
+        let (lo, hi) = (format.min_raw() as f64, format.max_raw() as f64);
+        for (o, &v) in out.iter_mut().zip(values) {
+            let s = (v * inv_res).round();
+            let clamped = if s.is_nan() { hi } else { s.clamp(lo, hi) };
+            *o = lane::f64_to_i64_exact(clamped);
         }
-        let mut chunks = raws.chunks_exact(LANES);
-        let mut acc: lane::Block = [i64::MIN; LANES];
-        for chunk in chunks.by_ref() {
-            let ceiled: lane::Block =
-                std::array::from_fn(|i| ceil_one_raw(chunk[i], format));
-            acc = lane::max(acc, ceiled);
-        }
-        let mut best = lane::hmax(acc);
-        for &r in chunks.remainder() {
-            best = best.max(ceil_one_raw(r, format));
-        }
-        Some(best)
     }
 }
 
@@ -369,6 +373,37 @@ mod tests {
                 formats::INPUT.min_raw()
             ]
         );
+    }
+
+    /// Stage-0 proof: `quantize_nearest_into` equals `Fixed::from_f64`
+    /// (round to nearest) at every rounding boundary `(k + 1/2) * 2^-frac`
+    /// and 0-3 ulps either side of it, for `k` from below the min rail to
+    /// above the max rail, and at NaN and the infinities.
+    #[test]
+    fn quantize_nearest_matches_from_f64_at_every_boundary() {
+        for fmt in [
+            formats::INPUT,
+            QFormat::signed(5, 3),
+            QFormat::signed(8, 0),
+            QFormat::signed(8, 8),
+            QFormat::unsigned(1, 7),
+        ] {
+            let res = fmt.resolution();
+            let mut values = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+            for k in fmt.min_raw() - 3..=fmt.max_raw() + 3 {
+                let boundary = (k as f64 + 0.5) * res;
+                for ulps in 0..=3u64 {
+                    values.push(f64::from_bits(boundary.to_bits() + ulps));
+                    values.push(f64::from_bits(boundary.to_bits() - ulps));
+                }
+            }
+            let mut got = Vec::new();
+            quantize_nearest_into(&values, fmt, &mut got);
+            for (v, g) in values.iter().zip(&got) {
+                let want = Fixed::from_f64(*v, fmt, Rounding::Nearest).raw();
+                assert_eq!(*g, want, "fmt={fmt} v={v:e}");
+            }
+        }
     }
 
     #[test]

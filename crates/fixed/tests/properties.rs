@@ -267,8 +267,9 @@ proptest! {
         );
     }
 
-    /// The fused ceil-max reduction equals mapping `Fixed::ceil` then
-    /// folding `max` (the scalar IntMax unit).
+    /// The IntMax unit's one-ceiling-per-slice reduction,
+    /// `ceil_one_raw(max_reduce(raws))`, equals mapping `Fixed::ceil`
+    /// over the lanes then folding `max` (the staged scalar IntMax unit).
     #[test]
     fn vecops_max_reduce_ceil_matches_staged(
         raws in proptest::collection::vec(-200_000i64..200_000, 0..40),
@@ -279,7 +280,8 @@ proptest! {
             .iter()
             .map(|&r| Fixed::from_raw_saturating(r, fmt).ceil().raw())
             .max();
-        prop_assert_eq!(vecops::max_reduce_ceil(&raws, fmt), want);
+        let got = vecops::max_reduce(&raws).map(|m| vecops::ceil_one_raw(m, fmt));
+        prop_assert_eq!(got, want);
     }
 
     /// The fused stage-0 pass (quantize → pre-scale → requantize in one
@@ -314,5 +316,35 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(fused, want);
+    }
+
+    /// The stage-0 shortcut `quantize_nearest_into` is bit-identical with
+    /// `Fixed::from_f64` (round to nearest) in any format, including
+    /// values far past both rails.
+    #[test]
+    fn vecops_quantize_nearest_matches_from_f64(
+        values in proptest::collection::vec(-1e6f64..1e6, 0..40),
+        fmt in arb_format(),
+    ) {
+        let mut got = Vec::new();
+        vecops::quantize_nearest_into(&values, fmt, &mut got);
+        let want: Vec<i64> = values
+            .iter()
+            .map(|&v| Fixed::from_f64(v, fmt, Rounding::Nearest).raw())
+            .collect();
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// `ceil` and `max` commute on every pair of `Q(6,2)` encodings (65,536
+/// pairs), which is what lets the IntMax unit take one ceiling per slice.
+#[test]
+fn ceil_and_max_commute_on_all_q6_2_pairs() {
+    let fmt = formats::INPUT;
+    let ceil = |r: i64| Fixed::from_raw_saturating(r, fmt).ceil().raw();
+    for a in fmt.min_raw()..=fmt.max_raw() {
+        for b in fmt.min_raw()..=fmt.max_raw() {
+            assert_eq!(ceil(a.max(b)), ceil(a).max(ceil(b)), "a={a} b={b}");
+        }
     }
 }
